@@ -37,6 +37,7 @@ from .structure import (
     direct_sum_sets,
     find_isomorphisms,
     is_isomorphism,
+    isomorphisms,
     restrict_instance,
     twin_classes,
 )

@@ -178,7 +178,7 @@ def parse_scalar(text) -> Scalar:
     if not s.endswith("i"):
         try:
             return _norm_rational(Fraction(s))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraError(f"bad scalar {text!r}") from exc
     body = s[:-1]
     # Split off the imaginary term at the last sign that starts it.
@@ -200,7 +200,7 @@ def parse_scalar(text) -> Scalar:
             imag_part = Fraction(-1)
         else:
             imag_part = Fraction(imag_text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraError(f"bad scalar {text!r}") from exc
     return gaussian(real_part, imag_part)
 

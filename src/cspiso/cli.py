@@ -38,7 +38,7 @@ from .io import (
     parse_pin,
 )
 from .partition import TermCapExceeded, partition_function, pinned_partition
-from .structure import automorphisms, find_isomorphisms, twin_classes
+from .structure import automorphisms, isomorphisms, twin_classes
 from . import expressions, selftest as selftest_mod
 
 
@@ -83,7 +83,7 @@ def _cmd_zeval(args, config: RunConfig) -> int:
 def _cmd_iso(args, config: RunConfig) -> int:
     fset = cfset_from_obj(load_json(args.f))
     gset = cfset_from_obj(load_json(args.g))
-    isos = find_isomorphisms(fset, gset)
+    isos = tuple(isomorphisms(fset, gset))
     payload = {"isomorphisms": [_perm_str(s) for s in isos]}
     if isos:
         _emit(config, payload, [_perm_str(s) for s in isos])
@@ -111,7 +111,8 @@ def _cmd_distinguish(args, config: RunConfig) -> int:
         if args.pin_f else ()
     psi = parse_pin(args.pin_g or "", 0 if args.pin_g is None else _pin_len(args.pin_g), gset.q) \
         if args.pin_g else ()
-    result = distinguish(fset, gset, phi, psi, max_probes=args.max_catalog or config.max_probes)
+    max_probes = config.max_probes if args.max_catalog is None else args.max_catalog
+    result = distinguish(fset, gset, phi, psi, max_probes=max_probes)
     if result.sigma is not None:
         note = " (pins matched up to twins)" if result.twins_adjusted else ""
         _emit(
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--pin", default=None)
 
-    p = sub.add_parser("iso", help="brute-force isomorphism search")
+    p = sub.add_parser("iso", help="all isomorphisms, by pruned backtracking search")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
 
@@ -275,14 +276,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(
-        term_cap=args.term_cap or _env_int("CSPISO_TERM_CAP", 10_000_000),
-        max_probes=_env_int("CSPISO_MAX_PROBES", 4000),
-        span_bound=_env_int("CSPISO_SPAN_BOUND", 6),
-        output_format=args.format,
-        seed=args.seed,
-    )
     try:
+        config = RunConfig(
+            term_cap=(
+                _env_int("CSPISO_TERM_CAP", 10_000_000)
+                if args.term_cap is None else args.term_cap
+            ),
+            max_probes=_env_int("CSPISO_MAX_PROBES", 4000),
+            span_bound=_env_int("CSPISO_SPAN_BOUND", 6),
+            output_format=args.format,
+            seed=args.seed,
+        )
         return _COMMANDS[args.command](args, config)
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

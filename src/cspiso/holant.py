@@ -533,7 +533,11 @@ def csp_to_grid(inst: LabeledInstance, fset: CFSet, n_output_labels: Optional[in
     """The bipartite grid of an instance: an equality vertex per variable, a
     constraint vertex per constraint, edges per occurrence in constraint
     order.  Labels 1..n_output_labels become outputs, the rest inputs, both
-    in label order (so T matches pinned partition values entrywise)."""
+    in label order (so T matches pinned partition values entrywise).
+
+    With domain weights, the equality vertex of every unlabeled variable
+    also meets a unary vertex carrying the weights; labeled variables stay
+    unweighted, as in ``pinned_partition``."""
     inst.validate_against(fset)
     k = inst.k
     n_out = k if n_output_labels is None else n_output_labels
@@ -550,6 +554,13 @@ def csp_to_grid(inst: LabeledInstance, fset: CFSet, n_output_labels: Optional[in
             u = var_vertex[v]
             edges.append(((u, next_port[u]), (c_vertex, pos)))
             next_port[u] += 1
+    if fset.weights is not None:
+        weight = ConstraintFunction(fset.q, 1, fset.weights)
+        for v in inst.unlabeled_variables():
+            u = var_vertex[v]
+            edges.append(((u, next_port[u]), (len(signatures), 0)))
+            next_port[u] += 1
+            signatures.append(weight)
     outputs = []
     inputs = []
     for i, v in enumerate(inst.labels):

@@ -2,10 +2,11 @@
 maps, the three witness-instance families, the finite witness catalog, and
 the distinguisher returning an isomorphism or a verified counterexample.
 
-The distinguisher follows the constructive route: contract twins, match the
-per-element slot fingerprints to build the permutation, and otherwise search
-size-ordered candidate instances for one whose pinned partition values
-differ (verified exactly before returning).  The literal catalog built from
+The distinguisher follows the constructive route: contract twins, search the
+contracted sets for isomorphisms (``structure.isomorphisms``) and lift one
+to the original domain, and otherwise search size-ordered candidate
+instances for one whose pinned partition values differ (verified exactly
+before returning).  The literal catalog built from
 the three instance families stays available behind ``witness_catalog``; its
 full form is astronomically large and guarded by a cap.
 """
@@ -35,6 +36,7 @@ from .structure import (
     contract_twins,
     configuration_index,
     is_isomorphism,
+    isomorphisms,
     twin_classes,
 )
 from .witnesses import probe_stream
@@ -584,51 +586,6 @@ def _extend_profile(values, fset: CFSet, phi: PinMap, probe_key: Tuple, index: i
     return True
 
 
-def _twin_free_isomorphisms(cf: CFSet, cg: CFSet) -> Iterator[Permutation]:
-    """All isomorphisms between twin-free sets by fingerprint matching: each
-    element's slot fingerprint is distinct, so candidates are pruned by the
-    permutation-invariant part and verified entrywise while backtracking."""
-    from .structure import _invariant_profile
-
-    q = cf.q
-    inv_f, f_sorted = _invariant_profile(cf)
-    inv_g, g_sorted = _invariant_profile(cg)
-    if f_sorted != g_sorted:
-        return
-    candidates = [
-        [ig for ig in range(q) if inv_g[ig] == inv_f[i]] for i in range(q)
-    ]
-    sigma: List[Optional[int]] = [None] * q
-    used = [False] * q
-
-    def entries_match(depth: int) -> bool:
-        assigned = list(range(depth + 1))
-        for fn, gn in zip(cf.functions, cg.functions):
-            for xs in itertools.product(assigned, repeat=fn.arity):
-                if depth not in xs:
-                    continue
-                image = tuple(sigma[x] for x in xs)
-                if fn.entries[tuple_to_index(xs, q)] != gn.entries[tuple_to_index(image, q)]:
-                    return False
-        return True
-
-    def backtrack(depth: int):
-        if depth == q:
-            yield tuple(sigma)
-            return
-        for ig in candidates[depth]:
-            if used[ig]:
-                continue
-            sigma[depth] = ig
-            used[ig] = True
-            if entries_match(depth):
-                yield from backtrack(depth + 1)
-            used[ig] = False
-            sigma[depth] = None
-
-    yield from backtrack(0)
-
-
 def _lift(
     sigma_t: Permutation,
     contraction_f: TwinContraction,
@@ -705,22 +662,15 @@ def distinguish(
             witness=flipped.witness, z_f=flipped.z_g, z_g=flipped.z_f, swapped=True
         )
 
-    from .structure import _invariant_profile
-
     contraction_f = contract_twins(fset)
     contraction_g = contract_twins(gset)
     k = len(phi)
 
-    if (
-        fset.q == gset.q
-        and contraction_f.contracted.q == contraction_g.contracted.q
-        and _invariant_profile(contraction_f.contracted)[1]
-        == _invariant_profile(contraction_g.contracted)[1]
-    ):
+    if fset.q == gset.q and contraction_f.contracted.q == contraction_g.contracted.q:
         class_of_f = contraction_f.class_of
         class_of_g = contraction_g.class_of
         adjusted_candidate = None
-        for sigma_t in _twin_free_isomorphisms(
+        for sigma_t in isomorphisms(
             contraction_f.contracted, contraction_g.contracted
         ):
             if any(

@@ -1,9 +1,14 @@
 """Twins and contraction, domain-weighted isomorphism search, direct sums,
 connectivity, and the universal-element augmentation.
 
-``find_isomorphisms`` is deliberately plain brute force over the symmetric
-group (with a cheap per-element invariant prune); it is the ground-truth
-oracle the constructive machinery is checked against.
+``isomorphisms`` is the one isomorphism search: it backtracks over partial
+maps, pruned by per-element invariants and by an entrywise check of each
+new element, so its cost follows the pruned search tree, not q!.
+``automorphisms``, ``distinguish``, ``witness_sigma``, ``gadget_span`` and
+the CLI all use it.  ``find_isomorphisms`` is deliberately plain brute force
+over the symmetric group (with the same invariant prune); it is the
+ground-truth oracle the search is checked against, and the only routine
+here that walks all of S_q.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraError,
@@ -148,15 +153,16 @@ def is_isomorphism(sigma: Permutation, fset: CFSet, gset: CFSet) -> bool:
         if fset.weight(i) != gset.weight(sigma[i]):
             return False
     for fn, gn in zip(fset.functions, gset.functions):
-        if fn != permute_domain(gn, tuple(sigma)):
-            return False
+        for idx, xs in enumerate(all_tuples(q, fn.arity)):
+            if fn.entries[idx] != gn.entries[tuple_to_index([sigma[x] for x in xs], q)]:
+                return False
     return True
 
 
 @lru_cache(maxsize=None)
 def _value_invariant(fset: CFSet, i: int):
     """Permutation-invariant data of element i: weight + per-(j, slot) value
-    multisets.  Used only to prune the brute-force search."""
+    multisets.  Used only to prune the isomorphism searches."""
     inv = [scalar_sort_key(fset.weight(i))]
     for j, fn in enumerate(fset.functions):
         for r in range(fn.arity):
@@ -210,8 +216,77 @@ def find_isomorphisms(fset: CFSet, gset: CFSet) -> Tuple[Permutation, ...]:
     return tuple(found)
 
 
+def _new_tuples(n: int, d: int) -> List[Tuple[int, ...]]:
+    """Every length-n tuple over ``range(d + 1)`` that contains d, once: d
+    first occurs at position p, after p smaller elements."""
+    return [
+        head + (d,) + tail
+        for p in range(n)
+        for head in itertools.product(range(d), repeat=p)
+        for tail in itertools.product(range(d + 1), repeat=n - p - 1)
+    ]
+
+
+def isomorphisms(fset: CFSet, gset: CFSet) -> Iterator[Permutation]:
+    """All domain-weighted isomorphisms, lazily, in lexicographic order.
+
+    Backtracks over partial maps ``0 -> sigma(0), ..., d -> sigma(d)``.
+    Element d may only go to an unused element with its invariant profile
+    (which includes the weight), and the choice stands only if both sets
+    agree on every tuple over ``0..d`` that contains d; along a branch each
+    entry is compared once, and a branch dies at its first disagreement.
+    The cost follows the pruned search tree, not q!.  The output equals
+    :func:`find_isomorphisms`, order included.  Sets that are incompatible
+    or of unequal domain size raise :class:`CompatibilityError` once
+    iteration starts.
+    """
+    require_compatible(fset, gset)
+    if fset.q != gset.q:
+        raise CompatibilityError("isomorphism needs a common domain size")
+    q = fset.q
+    f_inv, f_sorted = _invariant_profile(fset)
+    g_inv, g_sorted = _invariant_profile(gset)
+    if f_sorted != g_sorted:
+        return
+    candidates = [
+        [ig for ig in range(q) if g_inv[ig] == f_inv[i]] for i in range(q)
+    ]
+    # checks[d]: (F entry, G table, tuple) for every tuple new at depth d
+    checks = [
+        [
+            (fn.entries[tuple_to_index(xs, q)], gn.entries, xs)
+            for fn, gn in zip(fset.functions, gset.functions)
+            for xs in _new_tuples(fn.arity, d)
+        ]
+        for d in range(q)
+    ]
+    sigma = [0] * q
+    used = [False] * q
+
+    def extend(d: int) -> Iterator[Permutation]:
+        if d == q:
+            yield tuple(sigma)
+            return
+        for ig in candidates[d]:
+            if used[ig]:
+                continue
+            sigma[d] = ig
+            for value, g_entries, xs in checks[d]:
+                idx = 0
+                for x in xs:
+                    idx = idx * q + sigma[x]
+                if g_entries[idx] != value:
+                    break
+            else:
+                used[ig] = True
+                yield from extend(d + 1)
+                used[ig] = False
+
+    yield from extend(0)
+
+
 def automorphisms(fset: CFSet) -> Tuple[Permutation, ...]:
-    return find_isomorphisms(fset, fset)
+    return tuple(isomorphisms(fset, fset))
 
 
 # ---------------------------------------------------------------------------

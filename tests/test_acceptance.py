@@ -237,15 +237,18 @@ def round_trip_report():
     limit = os.environ.get("CSPISO_C1_LIMIT")
     limit = int(limit) if limit else None
     tasks = []
+    sets_per_row = {}
     for signature in SIGNATURES:
         n_sets = len(_signature_sets(signature))
+        sets_per_row[signature] = n_sets
         if limit is not None:
             n_sets = min(n_sets, limit)
         chunk = max(1, min(250, n_sets // 2 + 1))
         for start in range(0, n_sets, chunk):
             tasks.append((signature, start, min(start + chunk, n_sets)))
-    # largest chunks first for better load balance
-    tasks.sort(key=lambda t: t[1] - t[2])
+    # most distinguish calls first, for better load balance: every row of a
+    # chunk meets every set of its signature
+    tasks.sort(key=lambda t: (t[1] - t[2]) * sets_per_row[t[0]])
     merged = {}
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=2) as pool:

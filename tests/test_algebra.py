@@ -121,6 +121,6 @@ def test_scalar_parse_format_round_trip(text):
 
 
 def test_scalar_parse_errors():
-    for bad in ["", "one", "1/2+", "i2"]:
+    for bad in ["", "one", "1/2+", "i2", "1/0", "1+1/0i"]:
         with pytest.raises(AlgebraError):
             parse_scalar(bad)

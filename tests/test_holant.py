@@ -6,7 +6,9 @@ from cspiso.algebra import (
     Matrix,
     all_tuples,
     binary_from_rows,
+    constant_function,
     equality_function,
+    gaussian,
     flatten,
     tuple_to_index,
     unary_function,
@@ -161,6 +163,32 @@ def test_pinning_bridge_matches_pinned_partition():
         n_out = rng.randint(0, total)
         grid = csp_to_grid(inst, fset, n_out)
         matrix = signature_matrix(grid)
+        for xs in all_tuples(q, n_out):
+            for ys in all_tuples(q, total - n_out):
+                assert matrix.data[tuple_to_index(xs, q)][
+                    tuple_to_index(ys, q)
+                ] == pinned_partition(fset, inst, xs + ys)
+
+
+def test_bridge_carries_domain_weights():
+    """Unlabeled variables carry the weights, labeled ones do not: Holant
+    values equal Z and signature matrices equal the pinned profile."""
+    ones = CFSet((constant_function(2, 2),), weights=(1, 2))
+    edge = LabeledInstance(("a", "b"), ((0, ("a", "b")),))
+    assert holant_value(csp_to_grid(edge, ones)) == partition_function(ones, edge) == 9
+    rng = random.Random(57)
+    for index in range(30):
+        q = rng.randint(1, 3)
+        fset = random_cfset(rng, q, rng.randint(1, 2), weighted=True,
+                            positive_weights=index % 2 == 0)
+        if index % 3 == 0:
+            fset = CFSet(fset.functions, tuple(gaussian(w, 1) for w in fset.weights))
+        total = rng.randint(0, 3)
+        inst = random_instance(rng, fset, rng.randint(max(total, 1), 4), total)
+        closed = LabeledInstance(inst.variables, inst.constraints, ())
+        assert holant_value(csp_to_grid(closed, fset)) == partition_function(fset, inst)
+        n_out = rng.randint(0, total)
+        matrix = signature_matrix(csp_to_grid(inst, fset, n_out))
         for xs in all_tuples(q, n_out):
             for ys in all_tuples(q, total - n_out):
                 assert matrix.data[tuple_to_index(xs, q)][

@@ -181,6 +181,31 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_cli_division_by_zero_scalar_is_an_input_error(tmp_path, capsys):
+    f = _write(tmp_path, "f.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["1/0", "0", "0", "1"]}]})
+    k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
+    assert main(["zeval", "--functions", f, "--instance", k]) == 2
+    assert "1/0" in capsys.readouterr().err
+
+
+def test_cli_zero_caps_are_honoured(tmp_path, capsys):
+    f = _write(tmp_path, "f.json", EQ_SET_OBJ)
+    g = _write(tmp_path, "g.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["1", "0", "0", "2"]}]})
+    k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
+    assert main(["--term-cap", "0", "zeval", "--functions", f, "--instance", k]) == 3
+    assert main(["distinguish", "--f", f, "--g", g, "--max-catalog", "0"]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_cli_bad_cap_in_environment_is_an_input_error(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "f.json", EQ_SET_OBJ)
+    monkeypatch.setenv("CSPISO_TERM_CAP", "many")
+    assert main(["twins", "--f", f]) == 2
+    assert "many" in capsys.readouterr().err
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

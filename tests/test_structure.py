@@ -1,17 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cspiso.algebra import (
     AlgebraError,
+    ConstraintFunction,
     all_tuples,
     binary_from_rows,
     constant_function,
     equality_function,
     evaluate,
+    gaussian,
+    permute_domain,
+    tuple_to_index,
     unary_function,
 )
-from cspiso.corpus import random_cfset, random_instance
+from cspiso.corpus import random_cfset, random_function, random_instance
+from cspiso.interpolation import distinguish
+from cspiso.intertwiners import witness_sigma
 from cspiso.instances import CFSet, CompatibilityError, LabeledInstance, replace_functions
 from cspiso.partition import partition_function, pinned_partition
 from cspiso.structure import (
@@ -26,6 +33,7 @@ from cspiso.structure import (
     find_isomorphisms,
     instance_connected,
     is_isomorphism,
+    isomorphisms,
     restrict_instance,
     twin_classes,
 )
@@ -267,3 +275,145 @@ def test_universal_augmentation_sum_identity_small():
     assert instance_connected(inst)
     lhs, rhs = _universal_sum_identity(fset, gset, inst, "a")
     assert lhs == rhs
+
+
+def _relabel(fset, sigma):
+    """The set G with ``G_j(sigma(x)) == F_j(x)`` and ``w_G(sigma(i)) ==
+    w_F(i)``, so that sigma is an isomorphism from F to G."""
+    q = fset.q
+    functions = []
+    for fn in fset.functions:
+        entries = [0] * len(fn.entries)
+        for xs in all_tuples(q, fn.arity):
+            image = tuple_to_index([sigma[x] for x in xs], q)
+            entries[image] = fn.entries[tuple_to_index(xs, q)]
+        functions.append(ConstraintFunction(q, fn.arity, tuple(entries)))
+    weights = None
+    if fset.weights is not None:
+        moved = [0] * q
+        for i, w in enumerate(fset.weights):
+            moved[sigma[i]] = w
+        weights = tuple(moved)
+    return CFSet(tuple(functions), weights)
+
+
+def _perturbed(rng, fset, pool):
+    """A copy of fset with one entry, or two weights, changed."""
+    if fset.weights is not None and fset.q > 1 and rng.random() < 0.3:
+        weights = list(fset.weights)
+        a, b = rng.sample(range(fset.q), 2)
+        weights[a], weights[b] = weights[b], 2 * weights[a]
+        return CFSet(fset.functions, tuple(weights))
+    j = rng.randrange(fset.t)
+    fn = fset.functions[j]
+    entries = list(fn.entries)
+    idx = rng.randrange(len(entries))
+    entries[idx] = rng.choice([v for v in pool if v != entries[idx]] or [entries[idx] + 1])
+    functions = list(fset.functions)
+    functions[j] = ConstraintFunction(fn.q, fn.arity, tuple(entries))
+    return CFSet(tuple(functions), fset.weights)
+
+
+_KINDS = {
+    # entry pools are small, so that many sets have nontrivial groups
+    "weighted": ((0, 1, 2), (1, 2, Fraction(1, 2)), 2),
+    "signed": ((0, 1, -1), (1, -1, Fraction(-2, 3)), 2),
+    "gaussian": ((0, 1, gaussian(0, 1), gaussian(1, -1)), (1, gaussian(0, 1)), 2),
+    "ternary": ((0, 1, 2), (1, 3), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_isomorphisms_equal_the_brute_force_oracle(kind):
+    """The search yields exactly find_isomorphisms, order included, on
+    relabelled (isomorphic) and perturbed pairs."""
+    entry_pool, weight_pool, max_arity = _KINDS[kind]
+    rng = random.Random(f"isomorphisms-{kind}")
+    nontrivial = 0
+    for _ in range(150):
+        q = rng.randint(1, 4 if max_arity == 3 else 5)
+        pool = entry_pool[: rng.randint(1, len(entry_pool))]
+        functions = tuple(
+            random_function(rng, q, rng.randint(1, max_arity), pool)
+            for _ in range(rng.randint(1, 2))
+        )
+        weights = None
+        if kind != "ternary" or rng.random() < 0.5:
+            wpool = weight_pool[: rng.randint(1, len(weight_pool))]
+            weights = tuple(rng.choice(wpool) for _ in range(q))
+        fset = CFSet(functions, weights)
+        sigma = tuple(rng.sample(range(q), q))
+        gset = _relabel(fset, sigma)
+        found = tuple(isomorphisms(fset, gset))
+        assert found == find_isomorphisms(fset, gset)
+        assert sigma in found
+        auts = automorphisms(fset)
+        assert auts == find_isomorphisms(fset, fset)
+        nontrivial += len(auts) > 1
+        other = _perturbed(rng, gset, pool)
+        assert tuple(isomorphisms(fset, other)) == find_isomorphisms(fset, other)
+    assert nontrivial >= 30
+
+
+def _graph(q, edges, directed=False):
+    rows = [[0] * q for _ in range(q)]
+    for a, b in edges:
+        rows[a][b] = 1
+        if not directed:
+            rows[b][a] = 1
+    return CFSet((binary_from_rows(rows),))
+
+
+def _cycle(n, offset=0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def test_automorphism_group_orders_in_closed_form():
+    cube = [(a, a ^ (1 << bit)) for a in range(8) for bit in range(3) if a < a ^ (1 << bit)]
+    rng = random.Random(34)
+    for q, edges, order in (
+        (8, cube, 48),
+        (7, _cycle(7), 14),
+        (6, _cycle(3) + _cycle(3, 3), 72),
+    ):
+        for _ in range(3):
+            relabelled = _relabel(_graph(q, edges), tuple(rng.sample(range(q), q)))
+            group = automorphisms(relabelled)
+            assert len(group) == order
+            assert list(group) == sorted(group)
+            assert all(is_isomorphism(s, relabelled, relabelled) for s in group)
+
+
+def test_regular_graphs_with_equal_invariants_are_told_apart():
+    """Every element of a 2-regular graph (or a union of directed cycles)
+    has the same invariants, so only the entrywise checks of the search can
+    reject these pairs."""
+    rng = random.Random(36)
+    for q, first, second in (
+        (6, _cycle(6), _cycle(3) + _cycle(3, 3)),
+        (7, _cycle(7), _cycle(3) + _cycle(4, 3)),
+    ):
+        for directed in (False, True):
+            f = _relabel(_graph(q, first, directed), tuple(rng.sample(range(q), q)))
+            g = _relabel(_graph(q, second, directed), tuple(rng.sample(range(q), q)))
+            assert tuple(isomorphisms(f, g)) == find_isomorphisms(f, g) == ()
+            assert len(automorphisms(f)) == (q if directed else 2 * q)
+
+
+def test_verifying_sigma_leaves_the_permute_cache_alone():
+    """is_isomorphism compares entries in place, so neither it nor the
+    searches built on it add permuted copies to permute_domain's cache."""
+    rng = random.Random(35)
+    fset = random_cfset(rng, 4, 2, weighted=True, positive_weights=True)
+    sigma = (2, 0, 3, 1)
+    gset = _relabel(fset, sigma)
+    before = permute_domain.cache_info().currsize
+    assert is_isomorphism(sigma, fset, gset)
+    assert not is_isomorphism((0, 1, 2, 3), fset, _perturbed(rng, gset, (0, 1, 2)))
+    assert distinguish(fset, gset).sigma in find_isomorphisms(fset, gset)
+    after_oracle = permute_domain.cache_info().currsize
+    cycle = _graph(5, _cycle(5))
+    assert len(automorphisms(cycle)) == 10
+    assert witness_sigma(cycle, (0, 1), (1, 2)).sigma is not None
+    assert after_oracle > before  # the oracle does fill it
+    assert permute_domain.cache_info().currsize == after_oracle
