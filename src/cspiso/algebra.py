@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 
 class AlgebraError(ValueError):
@@ -225,14 +225,6 @@ def tuple_to_index(xs: Sequence[int], q: int) -> int:
     return idx
 
 
-def index_to_tuple(idx: int, q: int, n: int) -> Tuple[int, ...]:
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        out[pos] = idx % q
-        idx //= q
-    return tuple(out)
-
-
 def all_tuples(q: int, n: int):
     """All of ``[q]^n`` in lexicographic (row-major) order."""
     if n == 0:
@@ -248,6 +240,36 @@ def all_tuples(q: int, n: int):
         if pos < 0:
             return
         cur[pos] += 1
+
+
+# ---------------------------------------------------------------------------
+# Union-find
+# ---------------------------------------------------------------------------
+
+def union_find(items: Iterable, pairs: Iterable[Tuple], key: Optional[Callable] = None) -> Dict:
+    """Classes of the equivalence closure of ``pairs`` over ``items``.
+
+    Maps every item to the root of its class: its least member under
+    ``key``, or by default the member listed first.  A union links the
+    larger root under the smaller one, so roots do not depend on the order
+    of ``pairs``.
+    """
+    rank = {x: (i if key is None else key(x)) for i, x in enumerate(items)}
+    parent = {x: x for x in rank}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rank[rb] < rank[ra]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+    return {x: find(x) for x in parent}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import format_scalar
-from .holant import HolantCapExceeded, signature_matrix
+from .holant import signature_matrix
 from .instances import InstanceError
 from .interpolation import (
     CatalogCapExceeded,
@@ -37,14 +37,19 @@ from .io import (
     load_json,
     parse_pin,
 )
-from .partition import TermCapExceeded, partition_function, pinned_partition
+from .partition import (
+    DEFAULT_TERM_CAP,
+    TermCapExceeded,
+    partition_function,
+    pinned_partition,
+)
 from .structure import automorphisms, isomorphisms, twin_classes
 from . import expressions, selftest as selftest_mod
 
 
 @dataclass
 class RunConfig:
-    term_cap: int = 10_000_000
+    term_cap: int = DEFAULT_TERM_CAP
     max_probes: int = 4000
     span_bound: int = 6
     output_format: str = "text"
@@ -174,8 +179,8 @@ def _cmd_intertwiners(args, config: RunConfig) -> int:
     fset = cfset_from_obj(load_json(args.f))
     group = PermutationGroup.from_elements(fset.q, automorphisms(fset))
     space = intertwiner_basis(group, args.k, args.l)
-    span = gadget_span(fset, args.k, args.l, args.span_bound or config.span_bound,
-                       aut_group=group)
+    span_bound = config.span_bound if args.span_bound is None else args.span_bound
+    span = gadget_span(fset, args.k, args.l, span_bound, aut_group=group)
     members = all(
         is_intertwiner(m, group, args.k, args.l) for m in span.basis
     )
@@ -279,7 +284,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             term_cap=(
-                _env_int("CSPISO_TERM_CAP", 10_000_000)
+                _env_int("CSPISO_TERM_CAP", DEFAULT_TERM_CAP)
                 if args.term_cap is None else args.term_cap
             ),
             max_probes=_env_int("CSPISO_MAX_PROBES", 4000),
@@ -295,8 +300,7 @@ def main(argv=None) -> int:
     except (FormatError, InstanceError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TermCapExceeded, HolantCapExceeded, CatalogCapExceeded,
-            DistinguishInconclusive) as exc:
+    except (TermCapExceeded, CatalogCapExceeded, DistinguishInconclusive) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
 

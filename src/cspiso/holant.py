@@ -21,6 +21,15 @@ Equality vertices are symbolic (the ``EQ`` sentinel): their arity is their
 degree, a degree-0 equality vertex contributes the scalar ``q``, and
 composition contracts equality-equality edges, which never changes the
 Holant value.
+
+Evaluation
+----------
+``signature_matrix`` unites the edge slots of every equality vertex into
+classes and sums over the values of the free classes with
+``partition._sum_product``, the enumerator behind ``pinned_partition``; by
+the #CSP-Holant bridge (``csp_to_grid``) the two compute one sum.  Its term
+cap is ``partition.DEFAULT_TERM_CAP`` and it raises
+``partition.TermCapExceeded``.
 """
 
 from __future__ import annotations
@@ -34,22 +43,14 @@ from .algebra import (
     Scalar,
     all_tuples,
     conjugate_function,
-    tuple_to_index,
+    union_find,
 )
 from .instances import CFSet, LabeledInstance
-
-DEFAULT_HOLANT_CAP = 10_000_000
+from .partition import DEFAULT_TERM_CAP, TermCapExceeded, _sum_product
 
 
 class GadgetError(ValueError):
     pass
-
-
-class HolantCapExceeded(RuntimeError):
-    def __init__(self, terms: int, cap: int):
-        super().__init__(f"holant enumeration needs {terms} terms, cap is {cap}")
-        self.terms = terms
-        self.cap = cap
 
 
 class _EqualitySignature:
@@ -163,100 +164,65 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
     """Tabulate Holant values over all boundary pinnings (see module doc).
 
     Edges through a common equality vertex must carry one value in every
-    nonzero term, so enumeration runs over equality classes of edge slots
-    rather than raw edges; on an instance grid this is exactly the cost of
-    the pinned partition function.
+    nonzero term, so the sum runs over equality classes of edge slots rather
+    than raw edges, through the same enumerator as ``pinned_partition``; on
+    an instance grid this is exactly the cost of the pinned partition
+    function.  Pinnings that give one class two values are 0.  Raises
+    ``TermCapExceeded`` past ``cap`` terms, ``q^(k+l) * q^(free classes)``.
     """
-    cap = DEFAULT_HOLANT_CAP if cap is None else cap
+    cap = DEFAULT_TERM_CAP if cap is None else cap
     q = g.q
     k, l, n_edges = g.n_outputs, g.n_inputs, len(g.edges)
 
     # slots: one per edge, then one per dangling port (outputs, inputs)
-    n_slots = n_edges + k + l
-    parent = list(range(n_slots))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     slot_of: Dict[Port, int] = {}
     for e_idx, (a, b) in enumerate(g.edges):
         slot_of[a] = e_idx
         slot_of[b] = e_idx
-    for i, port in enumerate(g.outputs):
+    for i, port in enumerate(g.outputs + g.inputs):
         slot_of[port] = n_edges + i
-    for i, port in enumerate(g.inputs):
-        slot_of[port] = n_edges + k + i
 
-    sigs = g.signatures
     n_free_eq = 0  # degree-0 equality vertices contribute a free loop each
+    links: List[Tuple[int, int]] = []
     fn_vertices: List[Tuple[ConstraintFunction, List[int]]] = []
-    for v, sig in enumerate(sigs):
-        ports = sorted(p for (w, p) in slot_of if w == v)
-        slots = [slot_of[(v, p)] for p in ports]
+    for v, sig in enumerate(g.signatures):
+        slots = [slot_of[(v, p)] for p in sorted(p for (w, p) in slot_of if w == v)]
         if isinstance(sig, _EqualitySignature):
-            if not slots:
-                n_free_eq += 1
-            for s in slots[1:]:
-                ra, rb = find(slots[0]), find(s)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            continue
-        fn_vertices.append((sig, slots))
+            n_free_eq += not slots
+            links += [(slots[0], s) for s in slots[1:]]
+        else:
+            fn_vertices.append((sig, slots))
+    root = union_find(range(n_edges + k + l), links)
 
-    roots = sorted({find(s) for s in range(n_slots)})
-    boundary_root = {}
-    for i in range(k):
-        boundary_root.setdefault(find(n_edges + i), []).append(("o", i))
-    for i in range(l):
-        boundary_root.setdefault(find(n_edges + k + i), []).append(("i", i))
-    free_roots = [r for r in roots if r not in boundary_root]
+    # number the classes: boundary classes first, free classes after
+    number: Dict[int, int] = {}
+    for i in range(k + l):
+        number.setdefault(root[n_edges + i], len(number))
+    n_fixed = len(number)
+    for r in sorted(set(root.values())):
+        number.setdefault(r, len(number))
 
-    terms = q ** (k + l) * max(q ** len(free_roots), 1)
+    terms = q ** (k + l) * q ** (len(number) - n_fixed)
     if terms > cap:
-        raise HolantCapExceeded(terms, cap)
+        raise TermCapExceeded(terms, cap)
 
-    fn_plans = [
-        (fn.entries, [find(s) for s in slots]) for fn, slots in fn_vertices
+    factors = [
+        (fn.entries, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices
     ]
-    scalar_factor = q ** n_free_eq
-
-    rows = q ** k
+    port_class = [number[root[n_edges + i]] for i in range(k + l)]
+    scalar = q ** n_free_eq
+    values = [0] * len(number)
+    flat: List[Scalar] = []
+    for xy in all_tuples(q, k + l):  # outputs then inputs: row-major order
+        pins: Dict[int, int] = {}
+        if any(pins.setdefault(c, x) != x for c, x in zip(port_class, xy)):
+            flat.append(0)
+            continue
+        for c, x in pins.items():
+            values[c] = x
+        flat.append(_sum_product(q, factors, values, n_fixed, scalar))
     cols = q ** l
-    out = [[0] * cols for _ in range(rows)]
-    values = [0] * n_slots  # indexed by root
-    for x in all_tuples(q, k):
-        row = out[tuple_to_index(x, q)]
-        for y in all_tuples(q, l):
-            # pin boundary classes; clashing pins contribute nothing
-            consistent = True
-            for root, members in boundary_root.items():
-                pins = {x[i] if kind == "o" else y[i] for kind, i in members}
-                if len(pins) > 1:
-                    consistent = False
-                    break
-                values[root] = pins.pop()
-            if not consistent:
-                continue
-            acc: Scalar = 0
-            for assignment in all_tuples(q, len(free_roots)):
-                for r, val in zip(free_roots, assignment):
-                    values[r] = val
-                term: Scalar = scalar_factor
-                for entries, arg_roots in fn_plans:
-                    idx = 0
-                    for r in arg_roots:
-                        idx = idx * q + values[r]
-                    value = entries[idx]
-                    if value == 0:
-                        term = 0
-                        break
-                    term = term * value
-                acc = acc + term
-            row[tuple_to_index(y, q)] = acc
-    return Matrix(tuple(tuple(r) for r in out))
+    return Matrix(tuple(tuple(flat[i:i + cols]) for i in range(0, len(flat), cols)))
 
 
 def holant_value(g: Gadget, cap: Optional[int] = None) -> Scalar:

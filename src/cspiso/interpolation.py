@@ -566,12 +566,6 @@ def _probe(arities: Tuple[int, ...], k: int, q_hint: int, index: int) -> Optiona
     return probes[index]
 
 
-def _profile_value(fset: CFSet, phi: PinMap, probe_key: Tuple, index: int) -> Scalar:
-    values = _profile_list(fset, phi, probe_key)
-    _extend_profile(values, fset, phi, probe_key, index)
-    return values[index]
-
-
 def _profile_list(fset: CFSet, phi: PinMap, probe_key: Tuple) -> List[Scalar]:
     return _PROFILE_CACHE.setdefault((fset, phi, probe_key), [])
 

@@ -30,13 +30,6 @@ def _compose_perm(a: Permutation, b: Permutation) -> Permutation:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def _inverse_perm(a: Permutation) -> Permutation:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PermutationGroup:
     """Subgroup of the symmetric group on [q], given by generators."""
@@ -247,8 +240,10 @@ def gadget_span(
     deduplication; intermediate shapes are capped at ``max_legs`` total
     dangling edges.  Growth stops early once the span dimension is stable
     for two consecutive sizes or already matches the orbit-basis dimension
-    of the automorphism group.
+    of the automorphism group.  ``size_bound`` must be at least 1.
     """
+    if size_bound < 1:
+        raise IntertwinerError(f"size bound must be at least 1, got {size_bound}")
     _require_conjugate_closed(fset)
     q = fset.q
     max_legs = max(k + l + 2, 4) if max_legs is None else max_legs

@@ -1,9 +1,9 @@
-"""Small exact linear algebra helpers: incremental echelon bases, rank, and
-linear solving over the rational / Gaussian-rational scalars."""
+"""Small exact linear algebra helpers: incremental echelon bases and rank
+over the rational / Gaussian-rational scalars."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .algebra import Scalar, scalar_inverse
 
@@ -56,39 +56,3 @@ def rank(vectors: Sequence[Sequence[Scalar]]) -> int:
     for v in vectors:
         basis.insert(v)
     return basis.rank
-
-
-def solve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[List[Scalar]]:
-    """One exact solution of ``matrix @ x = rhs`` or None if inconsistent.
-
-    Free variables are set to zero.  Intended for small systems in tests.
-    """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = scalar_inverse(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    solution: List[Scalar] = [0] * n
-    for row_idx, col_idx in pivots:
-        solution[col_idx] = rows[row_idx][n]
-    return solution

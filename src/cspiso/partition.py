@@ -1,20 +1,26 @@
 """Exact evaluation of partition functions by exhaustive enumeration.
 
-``partition_function`` sums over all ``q**|V|`` assignments;
-``pinned_partition`` fixes the labeled variables and sums over the
-``q**|unlabeled|`` extensions.  Evaluation order is lexicographic over the
-instance's stable variable ordering, and a hard term cap keeps #P-hardness
-from turning into a hang.
+``_sum_product`` is the one exact sum-product enumerator behind ``Z``,
+``Z^psi`` and signature matrices (``holant.signature_matrix`` builds its
+factors over equality classes and calls it too).  ``partition_function``
+sums over all ``q**|V|`` assignments; ``pinned_partition`` fixes the labeled
+variables and sums over the ``q**|unlabeled|`` extensions; domain weights
+enter as unary factors on the unlabeled variables.  Evaluation order is
+lexicographic over the instance's stable variable ordering, and a hard term
+cap (``DEFAULT_TERM_CAP``, ``TermCapExceeded``, shared with the Holant
+side) keeps #P-hardness from turning into a hang.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Scalar
 from .instances import CFSet, LabeledInstance, PinMap
 
 DEFAULT_TERM_CAP = 10_000_000
+
+Factor = Tuple[Sequence[Scalar], Tuple[int, ...]]  # (entries, positions)
 
 
 class TermCapExceeded(RuntimeError):
@@ -24,16 +30,39 @@ class TermCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def assignment_count(q: int, free_variables: int) -> int:
-    return q ** free_variables
-
-
-def _compiled_constraints(fset: CFSet, inst: LabeledInstance, position):
-    compiled = []
-    for j, vs in inst.constraints:
-        fn = fset.functions[j]
-        compiled.append((fn.entries, tuple(position[v] for v in vs)))
-    return compiled
+def _sum_product(
+    q: int,
+    factors: Sequence[Factor],
+    values: List[int],
+    n_fixed: int,
+    scalar: Scalar = 1,
+) -> Scalar:
+    """Sum, over the free suffix ``values[n_fixed:]`` in lexicographic order,
+    of ``scalar`` times the product over factors of the entry at the base-q
+    index of their positions.  A term stops at its first zero factor.  The
+    free suffix must start at zeros and is left at zeros."""
+    n = len(values)
+    total: Scalar = 0
+    while True:
+        term = scalar
+        for entries, positions in factors:
+            idx = 0
+            for p in positions:
+                idx = idx * q + values[p]
+            value = entries[idx]
+            if value == 0:
+                term = 0
+                break
+            term = term * value
+        total = total + term
+        # next assignment over the free suffix, lexicographic
+        pos = n - 1
+        while pos >= n_fixed and values[pos] == q - 1:
+            values[pos] = 0
+            pos -= 1
+        if pos < n_fixed:
+            return total
+        values[pos] += 1
 
 
 def pinned_partition(
@@ -53,57 +82,24 @@ def pinned_partition(
     cap = DEFAULT_TERM_CAP if cap is None else cap
 
     free = inst.unlabeled_variables()
-    terms = assignment_count(q, len(free))
+    terms = q ** len(free)
     if terms > cap:
         raise TermCapExceeded(terms, cap)
 
     # Variable order: labeled first (fixed), then free in stable order.
     order = list(inst.labels) + list(free)
     position = {v: i for i, v in enumerate(order)}
-    compiled = _compiled_constraints(fset, inst, position)
-    weights = fset.weights
-
-    phi = list(psi) + [0] * len(free)
-    n_lab = len(psi)
-    n_free = len(free)
-    total: Scalar = 0
-    while True:
-        term: Scalar = 1
-        if weights is not None:
-            for i in range(n_lab, n_lab + n_free):
-                term = term * weights[phi[i]]
-        if term != 0:
-            for entries, positions in compiled:
-                idx = 0
-                for p in positions:
-                    idx = idx * q + phi[p]
-                value = entries[idx]
-                if value == 0:
-                    term = 0
-                    break
-                term = term * value
-        total = total + term
-        # next assignment over the free suffix, lexicographic
-        pos = n_lab + n_free - 1
-        while pos >= n_lab and phi[pos] == q - 1:
-            phi[pos] = 0
-            pos -= 1
-        if pos < n_lab:
-            return total
-        phi[pos] += 1
+    factors: List[Factor] = [
+        (fset.functions[j].entries, tuple(position[v] for v in vs))
+        for j, vs in inst.constraints
+    ]
+    # weights never vanish: after the constraints, a zero term skips them
+    if fset.weights is not None:
+        factors += [(fset.weights, (i,)) for i in range(len(psi), len(order))]
+    return _sum_product(q, factors, list(psi) + [0] * len(free), len(psi))
 
 
 def partition_function(fset: CFSet, inst: LabeledInstance, cap: Optional[int] = None) -> Scalar:
     """``Z_{F,alpha}``: labels are ignored; every variable is summed."""
     unlabeled = LabeledInstance(inst.variables, inst.constraints, ())
     return pinned_partition(fset, unlabeled, (), cap=cap)
-
-
-def pinned_profile(fset: CFSet, inst: LabeledInstance, cap: Optional[int] = None):
-    """All pinned values ``psi -> Z^psi`` as a dict, mostly for tests."""
-    from .algebra import all_tuples
-
-    return {
-        psi: pinned_partition(fset, inst, psi, cap=cap)
-        for psi in all_tuples(fset.q, inst.k)
-    }

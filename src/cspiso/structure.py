@@ -26,6 +26,7 @@ from .algebra import (
     permute_domain,
     scalar_sort_key,
     tuple_to_index,
+    union_find,
 )
 from .instances import (
     CFSet,
@@ -328,27 +329,15 @@ def connected_components(fn: ConstraintFunction) -> Tuple[Tuple[int, ...], ...]:
     tuple".  Zero rows of the union-find stay singletons."""
     if fn.arity <= 1:
         raise AlgebraError("connectivity is defined for arity > 1")
-    parent = list(range(fn.q))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for xs in all_tuples(fn.q, fn.arity):
-        if fn.entries[tuple_to_index(xs, fn.q)] != 0:
-            first = xs[0]
-            for x in xs[1:]:
-                union(first, x)
+    root = union_find(range(fn.q), (
+        (xs[0], x)
+        for xs in all_tuples(fn.q, fn.arity)
+        if fn.entries[tuple_to_index(xs, fn.q)] != 0
+        for x in xs[1:]
+    ))
     groups: Dict[int, List[int]] = {}
     for i in range(fn.q):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(root[i], []).append(i)
     return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
@@ -413,31 +402,24 @@ def restrict_instance(
         if not any(v in removed_set for v in vs)
     ]
 
-    parent = {v: v for v in kept}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     merged_constraints = []
+    merges = []
     for j, vs in surviving:
         n_target = target.functions[j].arity
         if len(vs) == n_target:
             merged_constraints.append((j, vs))
         elif len(vs) == 2 and n_target == 1:
-            ra, rb = find(vs[0]), find(vs[1])
-            if ra != rb:
-                parent[max(ra, rb, key=str)] = min(ra, rb, key=str)
+            merges.append(vs)
             merged_constraints.append((j, (vs[0],)))
         else:
             raise InstanceError(
                 f"constraint arity {len(vs)} does not match target arity {n_target}"
             )
 
-    variables = tuple(sorted({find(v) for v in kept}, key=str))
-    constraints = tuple((j, tuple(find(v) for v in vs)) for j, vs in merged_constraints)
+    # a merged class is named by its str-smallest member
+    root = union_find(kept, merges, key=str)
+    variables = tuple(sorted(set(root.values()), key=str))
+    constraints = tuple((j, tuple(root[v] for v in vs)) for j, vs in merged_constraints)
     return LabeledInstance(variables, constraints, ())
 
 
@@ -445,18 +427,7 @@ def instance_connected(inst: LabeledInstance) -> bool:
     """Connectivity of the variable-constraint incidence graph."""
     if not inst.variables:
         return True
-    parent = {v: v for v in inst.variables}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for _, vs in inst.constraints:
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    roots = {find(v) for v in inst.variables}
-    return len(roots) == 1
+    root = union_find(
+        inst.variables, ((vs[0], v) for _, vs in inst.constraints for v in vs[1:])
+    )
+    return len(set(root.values())) == 1

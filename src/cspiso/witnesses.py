@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Sequence, Set, Tuple
 
+from .algebra import union_find
 from .instances import LabeledInstance, canonical_encoding, is_simple
 
 
@@ -33,29 +34,12 @@ def isolated_variable_instance(k: int) -> LabeledInstance:
 def _free_connected(constraints, frees) -> bool:
     """No split of the constraints into groups with disjoint free supports."""
     free_set = set(frees)
-    parent = {v: v for v in frees}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    used = set()
-    for _, vs in constraints:
-        touched = [v for v in vs if v in free_set]
-        used.update(touched)
-        for v in touched[1:]:
-            ra, rb = find(touched[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    if used != free_set:
+    touched = [[v for v in vs if v in free_set] for _, vs in constraints]
+    if set().union(*touched) != free_set:
         return False
-    roots = {find(v) for v in frees}
-    if len(roots) > 1:
-        return False
+    root = union_find(frees, ((vs[0], v) for vs in touched for v in vs[1:]))
     # constraints with no free variable at all are separate factors
-    return all(any(v in free_set for v in vs) for _, vs in constraints)
+    return len(set(root.values())) <= 1 and all(touched)
 
 
 def _emit_block(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,6 @@ from cspiso.holant import (
     EQ,
     Gadget,
     GadgetError,
-    HolantCapExceeded,
     adjoint,
     compose,
     crossing_gadget,
@@ -33,7 +33,7 @@ from cspiso.holant import (
     tensor,
 )
 from cspiso.instances import CFSet, LabeledInstance
-from cspiso.partition import partition_function, pinned_partition
+from cspiso.partition import TermCapExceeded, partition_function, pinned_partition
 
 
 def test_holant_of_equality_self_loop():
@@ -196,10 +196,70 @@ def test_bridge_carries_domain_weights():
                 ] == pinned_partition(fset, inst, xs + ys)
 
 
+def _naive_signature_matrix(g: Gadget) -> Matrix:
+    """Oracle sharing no equality-class logic with ``signature_matrix``:
+    every edge and every dangling port carries its own value."""
+    q = g.q
+    ports = g.outputs + g.inputs
+    rows = []
+    for x in all_tuples(q, g.n_outputs):
+        row = []
+        for y in all_tuples(q, g.n_inputs):
+            total = 0
+            for e in all_tuples(q, len(g.edges)):
+                value_at = dict(zip(ports, x + y))
+                for (a, b), val in zip(g.edges, e):
+                    value_at[a] = val
+                    value_at[b] = val
+                term = 1
+                for v, sig in enumerate(g.signatures):
+                    vals = [value_at[p] for p in sorted(p for p in value_at if p[0] == v)]
+                    if sig is EQ:
+                        term = term * (q if not vals else int(len(set(vals)) == 1))
+                    else:
+                        term = term * sig.entries[tuple_to_index(vals, q)]
+                total = total + term
+            row.append(total)
+        rows.append(row)
+    return Matrix.from_rows(rows)
+
+
+def test_signature_matrix_matches_naive_oracle():
+    rng = random.Random(58)
+    pools = [
+        (0, 1, 2),
+        (0, 1, Fraction(1, 2), Fraction(-2, 3)),
+        (0, 1, gaussian(0, 1), gaussian(1, -1)),
+    ]
+    for pool in pools:
+        for _ in range(40):
+            q = rng.randint(2, 3)
+            g = random_gadget(rng, q, rng.randint(0, 2), rng.randint(0, 2),
+                              max_internal_edges=3, entry_pool=pool)
+            assert signature_matrix(g) == _naive_signature_matrix(g)
+    # dangling ports sharing a vertex make clashing pins
+    for q, m, d in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)]:
+        g = equality_gadget(q, m, d)
+        assert signature_matrix(g) == _naive_signature_matrix(g)
+    f = binary_from_rows([[1, Fraction(1, 2)], [gaussian(0, 1), 0]])
+    isolated = Gadget(2, (f, EQ, EQ), (((0, 0), (1, 0)),), ((1, 1),), ((0, 1),))
+    assert signature_matrix(isolated) == _naive_signature_matrix(isolated)
+    for q in (2, 3):
+        assert signature_matrix(empty_gadget(q)) == _naive_signature_matrix(empty_gadget(q))
+
+
 def test_signature_matrix_cap():
     big = Gadget(3, (EQ,), (), tuple((0, p) for p in range(16)), ())
-    with pytest.raises(HolantCapExceeded):
+    with pytest.raises(TermCapExceeded) as err:
         signature_matrix(big, cap=1000)
+    assert (err.value.terms, err.value.cap) == (3 ** 16, 1000)
+    # two free classes and no boundary: q^2 terms
+    f = binary_from_rows([[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    closed = Gadget(3, (EQ, EQ, f), (((0, 0), (2, 0)), ((1, 0), (2, 1))))
+    with pytest.raises(TermCapExceeded) as err:
+        holant_value(closed, cap=8)
+    assert err.value.terms == 9
+    assert holant_value(closed, cap=9) == 8
 
 
 def test_gadget_validation():

@@ -159,6 +159,14 @@ def test_gadget_span_requires_conjugate_closure():
     gadget_span(closed, 1, 0, size_bound=2)  # no error
 
 
+def test_gadget_span_rejects_size_bound_below_one():
+    fset = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
+    for bound in (0, -1):
+        with pytest.raises(IntertwinerError, match="at least 1"):
+            gadget_span(fset, 1, 1, bound)
+    assert gadget_span(fset, 1, 1, 1).dimension_by_size
+
+
 def test_witness_sigma_identity_and_swap():
     fset = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
     result = witness_sigma(fset, (0,), (0,))

@@ -194,9 +194,24 @@ def test_cli_zero_caps_are_honoured(tmp_path, capsys):
     g = _write(tmp_path, "g.json",
                {"functions": [{"q": 2, "arity": 2, "entries": ["1", "0", "0", "2"]}]})
     k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
+    inst = LabeledInstance(("a", "b"), ((0, ("a", "b")),), ("a",))
+    grid = _write(tmp_path, "grid.json",
+                  gadget_to_obj(csp_to_grid(inst, cfset_from_obj(EQ_SET_OBJ))))
     assert main(["--term-cap", "0", "zeval", "--functions", f, "--instance", k]) == 3
     assert main(["distinguish", "--f", f, "--g", g, "--max-catalog", "0"]) == 3
-    assert "cap exceeded" in capsys.readouterr().err
+    assert main(["--term-cap", "0", "sigmat", "--gadget", grid]) == 3
+    err = capsys.readouterr().err
+    assert err.count("cap exceeded") == 3
+
+
+def test_cli_zero_span_bound_is_an_input_error(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "f.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["0", "1", "1", "0"]}]})
+    command = ["intertwiners", "--f", f, "--k", "1", "--l", "1"]
+    assert main(command + ["--span-bound", "0"]) == 2
+    monkeypatch.setenv("CSPISO_SPAN_BOUND", "0")
+    assert main(command) == 2
+    assert capsys.readouterr().err.count("error: size bound must be at least 1") == 2
 
 
 def test_cli_bad_cap_in_environment_is_an_input_error(tmp_path, capsys, monkeypatch):
