@@ -116,7 +116,7 @@ def _cmd_distinguish(args, config: RunConfig) -> int:
         if args.pin_f else ()
     psi = parse_pin(args.pin_g or "", 0 if args.pin_g is None else _pin_len(args.pin_g), gset.q) \
         if args.pin_g else ()
-    max_probes = config.max_probes if args.max_catalog is None else args.max_catalog
+    max_probes = config.max_probes if args.max_probes is None else args.max_probes
     result = distinguish(fset, gset, phi, psi, max_probes=max_probes)
     if result.sigma is not None:
         note = " (pins matched up to twins)" if result.twins_adjusted else ""
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--pin-f", default=None)
     p.add_argument("--pin-g", default=None)
-    p.add_argument("--max-catalog", type=int, default=None)
+    p.add_argument("--max-probes", type=int, default=None)
 
     p = sub.add_parser("sigmat", help="signature matrix of a gadget")
     p.add_argument("--gadget", required=True)

@@ -31,7 +31,12 @@ class CompatibilityError(InstanceError):
 @dataclass(frozen=True)
 class CFSet:
     """Ordered list of constraint functions over a common domain, plus
-    optional nonzero domain weights (absent means all ones)."""
+    optional nonzero domain weights (absent means all ones).
+
+    ``_memo`` holds what other modules derive from the set (twin
+    contraction, invariant profile, probe values); it is not a field, so it
+    takes no part in equality, hashing or repr, and it is freed with the set.
+    """
 
     functions: Tuple[ConstraintFunction, ...]
     weights: Optional[Tuple[Scalar, ...]] = None
@@ -54,6 +59,7 @@ class CFSet:
         object.__setattr__(self, "_arities", tuple(f.arity for f in functions))
         object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_hash", hash((functions, self.weights)))
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self):
         return self._hash

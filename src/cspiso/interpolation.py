@@ -6,7 +6,10 @@ The distinguisher follows the constructive route: contract twins, search the
 contracted sets for isomorphisms (``structure.isomorphisms``) and lift one
 to the original domain, and otherwise search size-ordered candidate
 instances for one whose pinned partition values differ (verified exactly
-before returning).  The literal catalog built from
+before returning).  Each set keeps its probe values per pin map on itself;
+the probes come from one stream per (arities, k, q), kept for the life of
+the process as far as any call has read it and shared by every thread under
+one lock.  The literal catalog built from
 the three instance families stays available behind ``witness_catalog``; its
 full form is astronomically large and guarded by a cap.
 """
@@ -14,6 +17,7 @@ full form is astronomically large and guarded by a cap.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -540,43 +544,27 @@ class DistinguishResult:
         return self.sigma is not None
 
 
-_PROBE_CACHE: Dict[Tuple, List[LabeledInstance]] = {}
-_PROBE_GEN: Dict[Tuple, Iterator[LabeledInstance]] = {}
-_PROFILE_CACHE: Dict[Tuple, List[Scalar]] = {}
-
-
-def clear_caches() -> None:
-    _PROBE_CACHE.clear()
-    _PROBE_GEN.clear()
-    _PROFILE_CACHE.clear()
-
-
-def _probe(arities: Tuple[int, ...], k: int, q_hint: int, index: int) -> Optional[LabeledInstance]:
-    key = (arities, k, q_hint)
-    if key not in _PROBE_CACHE:
-        _PROBE_CACHE[key] = []
-        _PROBE_GEN[key] = probe_stream(arities, k, q_hint)
-    probes = _PROBE_CACHE[key]
-    gen = _PROBE_GEN[key]
-    while len(probes) <= index:
-        try:
-            probes.append(next(gen))
-        except StopIteration:
-            return None
-    return probes[index]
-
-
-def _profile_list(fset: CFSet, phi: PinMap, probe_key: Tuple) -> List[Scalar]:
-    return _PROFILE_CACHE.setdefault((fset, phi, probe_key), [])
+# One probe list and its stream per (arities, k, q_hint), shared by every
+# set; _GROW is held while a probe list or a profile list grows, so two
+# threads never resume one stream or append one value twice.
+_PROBES: Dict[Tuple, Tuple[List[LabeledInstance], Iterator[LabeledInstance]]] = {}
+_GROW = threading.Lock()
 
 
 def _extend_profile(values, fset: CFSet, phi: PinMap, probe_key: Tuple, index: int) -> bool:
-    """Grow the cached profile to cover ``index``; False once the stream ends."""
-    while len(values) <= index:
-        probe = _probe(*probe_key, len(values))
-        if probe is None:
-            return False
-        values.append(pinned_partition(fset, probe, phi))
+    """Grow the profile to cover ``index``, reading the shared probe stream
+    as far as needed; False once the stream ends first."""
+    with _GROW:
+        if probe_key not in _PROBES:
+            _PROBES[probe_key] = ([], probe_stream(*probe_key))
+        probes, stream = _PROBES[probe_key]
+        while len(values) <= index:
+            if len(values) == len(probes):
+                probe = next(stream, None)
+                if probe is None:
+                    return False
+                probes.append(probe)
+            values.append(pinned_partition(fset, probes[len(values)], phi))
     return True
 
 
@@ -683,15 +671,15 @@ def distinguish(
             return DistinguishResult(sigma=adjusted_candidate, twins_adjusted=True)
 
     probe_key = (fset.arities(), k, max(fset.q, gset.q))
-    profile_f = _profile_list(fset, phi, probe_key)
-    profile_g = _profile_list(gset, psi, probe_key)
+    profile_f = fset._memo.setdefault((phi, probe_key), [])
+    profile_g = gset._memo.setdefault((psi, probe_key), [])
     index = 0
     while index < max_probes:
         shared = min(len(profile_f), len(profile_g), max_probes)
         while index < shared:
             if profile_f[index] != profile_g[index]:
                 return DistinguishResult(
-                    witness=_probe(*probe_key, index),
+                    witness=_PROBES[probe_key][0][index],
                     z_f=profile_f[index],
                     z_g=profile_g[index],
                 )

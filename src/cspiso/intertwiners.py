@@ -207,7 +207,7 @@ class SpanResult:
     basis: List[Matrix]
     dimension_by_size: List[int]
     orbit_dimension: int
-    saturated_by: str  # "orbit-dimension" | "stable" | "size-bound"
+    saturated_by: str  # "orbit-dimension" | "size-bound"
 
     @property
     def dimension(self) -> int:
@@ -238,9 +238,11 @@ def gadget_span(
 
     Enumeration is dynamic programming over leaf counts with exact-matrix
     deduplication; intermediate shapes are capped at ``max_legs`` total
-    dangling edges.  Growth stops early once the span dimension is stable
-    for two consecutive sizes or already matches the orbit-basis dimension
-    of the automorphism group.  ``size_bound`` must be at least 1.
+    dangling edges.  Growth stops early only once the span dimension
+    matches the orbit-basis dimension of the automorphism group; a plateau
+    proves nothing (dimensions can hold still for sizes and then grow), so
+    otherwise every size up to the bound is built.  ``size_bound`` must be
+    at least 1.
     """
     if size_bound < 1:
         raise IntertwinerError(f"size bound must be at least 1, got {size_bound}")
@@ -304,9 +306,6 @@ def gadget_span(
         dims.append(basis.rank)
         if basis.rank == orbit_dim:
             saturated_by = "orbit-dimension"
-            break
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            saturated_by = "stable"
             break
     return SpanResult(k, l, span_basis, dims, orbit_dim, saturated_by)
 

@@ -8,14 +8,15 @@ new element, so its cost follows the pruned search tree, not q!.
 the CLI all use it.  ``find_isomorphisms`` is deliberately plain brute force
 over the symmetric group (with the same invariant prune); it is the
 ground-truth oracle the search is checked against, and the only routine
-here that walks all of S_q.
+here that walks all of S_q.  A set's twin contraction and invariant profile
+are kept on the set (``CFSet._memo``) and are freed with it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -65,7 +66,6 @@ def _slot_value(fn: ConstraintFunction, x: Tuple[int, ...], r: int, i: int) -> S
     return fn.entries[tuple_to_index(args, fn.q)]
 
 
-@lru_cache(maxsize=None)
 def element_fingerprints(fset: CFSet) -> Tuple[Tuple[Scalar, ...], ...]:
     """For each domain element, the tuple of all one-slot evaluations."""
     jc = configuration_index(fset)
@@ -98,18 +98,16 @@ class TwinContraction:
         object.__setattr__(self, "class_of", tuple(mapping))
 
 
-@lru_cache(maxsize=None)
 def contract_twins(fset: CFSet) -> TwinContraction:
     """Merge twin classes; weights add up.  Raises :class:`ContractionError`
     if a merged weight vanishes (the contraction then carries no valid
-    domain weight and callers must not proceed silently)."""
+    domain weight and callers must not proceed silently).  The result is
+    kept on ``fset``."""
+    if "twins" in fset._memo:
+        return fset._memo["twins"]
     classes = twin_classes(fset)
     s = len(classes)
     reps = [cls[0] for cls in classes]
-    class_of = {}
-    for label, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = label
 
     new_functions = []
     for fn in fset.functions:
@@ -135,7 +133,9 @@ def contract_twins(fset: CFSet) -> TwinContraction:
             sums.append(total)
         new_weights = tuple(sums)
 
-    return TwinContraction(CFSet(tuple(new_functions), new_weights), classes)
+    contraction = TwinContraction(CFSet(tuple(new_functions), new_weights), classes)
+    fset._memo["twins"] = contraction
+    return contraction
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +160,29 @@ def is_isomorphism(sigma: Permutation, fset: CFSet, gset: CFSet) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _value_invariant(fset: CFSet, i: int):
     """Permutation-invariant data of element i: weight + per-(j, slot) value
-    multisets.  Used only to prune the isomorphism searches."""
-    inv = [scalar_sort_key(fset.weight(i))]
+    multisets, each sorted by ``scalar_sort_key``.  Used only to prune the
+    isomorphism searches."""
+    inv = [fset.weight(i)]
     for j, fn in enumerate(fset.functions):
         for r in range(fn.arity):
             values = sorted(
-                scalar_sort_key(_slot_value(fn, x, r, i))
-                for x in all_tuples(fset.q, fn.arity - 1)
+                (_slot_value(fn, x, r, i) for x in all_tuples(fset.q, fn.arity - 1)),
+                key=scalar_sort_key,
             )
             inv.append(tuple(values))
     return tuple(inv)
 
 
-_INVARIANT_IDS: Dict = {}
-
-
-@lru_cache(maxsize=None)
 def _invariant_profile(fset: CFSet):
-    """Per-element invariants interned to small ints (comparison-heavy
-    callers only ever need equality)."""
-    per_element = []
-    for i in range(fset.q):
-        inv = _value_invariant(fset, i)
-        per_element.append(_INVARIANT_IDS.setdefault(inv, len(_INVARIANT_IDS)))
-    per_element = tuple(per_element)
-    return per_element, tuple(sorted(per_element))
+    """Per-element invariants and their multiset, kept on ``fset``.  The
+    multiset is a plain dict, whose comparison runs in C (a Counter's does
+    not)."""
+    if "invariants" not in fset._memo:
+        per_element = tuple(_value_invariant(fset, i) for i in range(fset.q))
+        fset._memo["invariants"] = per_element, dict(Counter(per_element))
+    return fset._memo["invariants"]
 
 
 def find_isomorphisms(fset: CFSet, gset: CFSet) -> Tuple[Permutation, ...]:
@@ -196,9 +191,9 @@ def find_isomorphisms(fset: CFSet, gset: CFSet) -> Tuple[Permutation, ...]:
     if fset.q != gset.q:
         raise CompatibilityError("isomorphism needs a common domain size")
     q = fset.q
-    f_inv, f_sorted = _invariant_profile(fset)
-    g_inv, g_sorted = _invariant_profile(gset)
-    if f_sorted != g_sorted:
+    f_inv, f_counts = _invariant_profile(fset)
+    g_inv, g_counts = _invariant_profile(gset)
+    if f_counts != g_counts:
         return ()
     candidates = [
         tuple(ig for ig in range(q) if g_inv[ig] == f_inv[i]) for i in range(q)
@@ -245,9 +240,9 @@ def isomorphisms(fset: CFSet, gset: CFSet) -> Iterator[Permutation]:
     if fset.q != gset.q:
         raise CompatibilityError("isomorphism needs a common domain size")
     q = fset.q
-    f_inv, f_sorted = _invariant_profile(fset)
-    g_inv, g_sorted = _invariant_profile(gset)
-    if f_sorted != g_sorted:
+    f_inv, f_counts = _invariant_profile(fset)
+    g_inv, g_counts = _invariant_profile(gset)
+    if f_counts != g_counts:
         return
     candidates = [
         [ig for ig in range(q) if g_inv[ig] == f_inv[i]] for i in range(q)

@@ -1,5 +1,9 @@
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,9 @@ from cspiso.corpus import random_cfset, random_rational
 from cspiso.instances import CFSet, is_simple
 from cspiso.linalg import rank
 from cspiso.partition import pinned_partition
-from cspiso.structure import find_isomorphisms, is_isomorphism
+from cspiso.structure import automorphisms, contract_twins, find_isomorphisms, is_isomorphism
+from cspiso.intertwiners import gadget_span, witness_sigma
+from cspiso import interpolation
 from cspiso.interpolation import (
     BucketCapacityError,
     CatalogCapExceeded,
@@ -383,3 +389,73 @@ def test_distinguish_agrees_with_oracle_on_random_sets():
             assert pinned_partition(fset, result.witness, ()) == result.z_f
             assert pinned_partition(gset, result.witness, ()) == result.z_g
             assert result.z_f != result.z_g
+
+
+def test_sets_are_freed_after_use():
+    """What the library derives from a set lives on the set, so a set that
+    no caller holds any more is freed, whichever routine has seen it."""
+    refs = []
+
+    def run(call, *args):
+        call(*args)
+        refs.extend(weakref.ref(a) for a in args if isinstance(a, CFSet))
+
+    def weighted(w):
+        return CFSet((binary_from_rows([[1, 2], [2, 0]]), unary_function((1, 3))), (1, w))
+
+    def swap():
+        return CFSet((binary_from_rows([[0, 1], [1, 0]]),))
+
+    run(distinguish, weighted(2), weighted(3))
+    run(distinguish, weighted(2), weighted(2), (0,), (1,))
+    run(distinguish, weighted(2), weighted(2))
+    run(automorphisms, weighted(5))
+    run(contract_twins, CFSet((constant_function(2, 2),)))
+    run(witness_sigma, swap(), (0,), (1,))
+    run(gadget_span, swap(), 1, 1, 3)
+    gc.collect()
+    assert len(refs) == 10
+    assert [r() for r in refs] == [None] * 10
+
+
+def _cycles(q, lengths):
+    rows = [[0] * q for _ in range(q)]
+    start = 0
+    for n in lengths:
+        for i in range(n):
+            a, b = start + i, start + (i + 1) % n
+            rows[a][b] = rows[b][a] = 1
+        start += n
+    return CFSet((binary_from_rows(rows),))
+
+
+def test_distinguish_shares_a_cold_probe_stream_across_threads(monkeypatch):
+    """Four threads resume one probe stream and grow the same two profile
+    lists; every value must land at its probe's index exactly once."""
+    monkeypatch.setattr(interpolation, "_PROBES", {})
+    c8, c4c4 = _cycles(8, [8]), _cycles(8, [4, 4])
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(distinguish(c8, c4c4))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    serial = distinguish(_cycles(8, [8]), _cycles(8, [4, 4]))
+    assert results == [serial] * 4
+    for result in results:
+        assert pinned_partition(c8, result.witness, ()) == result.z_f
+        assert pinned_partition(c4c4, result.witness, ()) == result.z_g

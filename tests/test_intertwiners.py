@@ -151,6 +151,23 @@ def test_gadget_span_saturates_for_swap_symmetric_function():
         assert result.saturated_by == "orbit-dimension"
 
 
+def test_gadget_span_does_not_stop_on_a_plateau():
+    # each span dimension holds still for two or more sizes before it grows
+    # to the orbit dimension within the default bound of 6
+    cases = [
+        (2, (0, 1, 0, 0), 1, 1, [0, 2, 2, 2, 4], 4),
+        (3, (0, 0, 0, 0, 0, 1, 0, 1, 0), 1, 1, [0, 2, 2, 2, 5], 5),
+        (3, (0, 0, 1, 0, 1, 0, 1, 0, 1), 2, 0, [1, 3, 7, 7, 8, 9], 9),
+    ]
+    for q, entries, k, l, dims, orbit_dim in cases:
+        fset = CFSet((binary_from_rows([entries[i:i + q] for i in range(0, q * q, q)]),))
+        result = gadget_span(fset, k, l, size_bound=6)
+        assert result.orbit_dimension == orbit_dim
+        assert result.certified_equal, (entries, result.dimension_by_size)
+        assert result.saturated_by == "orbit-dimension"
+        assert result.dimension_by_size == dims
+
+
 def test_gadget_span_requires_conjugate_closure():
     complex_fn = unary_function((gaussian(0, 1), 1))
     with pytest.raises(IntertwinerError):

@@ -156,6 +156,13 @@ def test_cli_intertwiners(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "orbit basis dimension: 2" in out
     assert "span equals orbit space: yes" in out
+    # the span holds still at sizes 2-4 and reaches the orbit space at 5
+    f = _write(tmp_path, "f.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["0", "1", "0", "0"]}]})
+    assert main(["intertwiners", "--f", f, "--k", "1", "--l", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "span dimension by size: [0, 2, 2, 2, 4]" in out
+    assert "span equals orbit space: yes" in out
 
 
 def test_cli_json_format_is_deterministic(tmp_path, capsys):
@@ -198,7 +205,7 @@ def test_cli_zero_caps_are_honoured(tmp_path, capsys):
     grid = _write(tmp_path, "grid.json",
                   gadget_to_obj(csp_to_grid(inst, cfset_from_obj(EQ_SET_OBJ))))
     assert main(["--term-cap", "0", "zeval", "--functions", f, "--instance", k]) == 3
-    assert main(["distinguish", "--f", f, "--g", g, "--max-catalog", "0"]) == 3
+    assert main(["distinguish", "--f", f, "--g", g, "--max-probes", "0"]) == 3
     assert main(["--term-cap", "0", "sigmat", "--gadget", grid]) == 3
     err = capsys.readouterr().err
     assert err.count("cap exceeded") == 3
