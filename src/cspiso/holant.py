@@ -26,10 +26,11 @@ Evaluation
 ----------
 ``signature_matrix`` unites the edge slots of every equality vertex into
 classes and sums over the values of the free classes with
-``partition._sum_product``, the enumerator behind ``pinned_partition``; by
-the #CSP-Holant bridge (``csp_to_grid``) the two compute one sum.  Its term
-cap is ``partition.DEFAULT_TERM_CAP`` and it raises
-``partition.TermCapExceeded``.
+``partition._sum_product``, the depth-first kernel behind
+``pinned_partition``, which skips every subtree below a zero partial
+product; by the #CSP-Holant bridge (``csp_to_grid``) the two compute one
+sum.  Its term cap, ``partition.DEFAULT_TERM_CAP``, counts every assignment,
+and it raises ``partition.TermCapExceeded``.
 """
 
 from __future__ import annotations
@@ -165,12 +166,15 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
 
     Edges through a common equality vertex must carry one value in every
     nonzero term, so the sum runs over equality classes of edge slots rather
-    than raw edges, through the same enumerator as ``pinned_partition``; on
-    an instance grid this is exactly the cost of the pinned partition
-    function.  Pinnings that give one class two values are 0.  Raises
-    ``TermCapExceeded`` past ``cap`` terms, ``q^(k+l) * q^(free classes)``.
+    than raw edges, through the same kernel as ``pinned_partition``; on an
+    instance grid this is exactly the cost of the pinned partition function.
+    Pinnings that give one class two values are 0.  Raises
+    ``TermCapExceeded`` past ``cap`` terms, ``q^(k+l) * q^(free classes)``,
+    and ``ValueError`` if ``cap`` is negative.
     """
     cap = DEFAULT_TERM_CAP if cap is None else cap
+    if cap < 0:
+        raise ValueError(f"term cap must be at least 0, got {cap}")
     q = g.q
     k, l, n_edges = g.n_outputs, g.n_inputs, len(g.edges)
 

@@ -629,6 +629,8 @@ def distinguish(
     phi, psi = tuple(phi), tuple(psi)
     if len(phi) != len(psi):
         raise InterpolationError("pin maps must have equal length")
+    if max_probes < 0:
+        raise InterpolationError(f"max_probes must be at least 0, got {max_probes}")
     if fset.q < gset.q:
         flipped = distinguish(gset, fset, psi, phi, max_probes)
         if flipped.sigma is not None:

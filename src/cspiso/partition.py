@@ -1,14 +1,15 @@
-"""Exact evaluation of partition functions by exhaustive enumeration.
+"""Exact evaluation of partition functions by a depth-first sum-product.
 
-``_sum_product`` is the one exact sum-product enumerator behind ``Z``,
-``Z^psi`` and signature matrices (``holant.signature_matrix`` builds its
-factors over equality classes and calls it too).  ``partition_function``
-sums over all ``q**|V|`` assignments; ``pinned_partition`` fixes the labeled
-variables and sums over the ``q**|unlabeled|`` extensions; domain weights
-enter as unary factors on the unlabeled variables.  Evaluation order is
-lexicographic over the instance's stable variable ordering, and a hard term
-cap (``DEFAULT_TERM_CAP``, ``TermCapExceeded``, shared with the Holant
-side) keeps #P-hardness from turning into a hang.
+``_sum_product`` is the one exact sum-product kernel behind ``Z``, ``Z^psi``
+and signature matrices (``holant.signature_matrix`` calls it too, over
+equality classes).  ``pinned_partition`` fixes the labeled variables and sums
+over their extensions, with domain weights as unary factors on the unlabeled
+variables; ``partition_function`` pins nothing.  The kernel reads each factor
+once its last variable has a value and skips the subtree below every zero
+partial product.  The term cap (``DEFAULT_TERM_CAP``, ``TermCapExceeded``,
+shared with the Holant side) counts all ``q**free`` assignments, skipped or
+not, so #P-hardness cannot turn into a hang; a negative cap is a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,31 +38,52 @@ def _sum_product(
     n_fixed: int,
     scalar: Scalar = 1,
 ) -> Scalar:
-    """Sum, over the free suffix ``values[n_fixed:]`` in lexicographic order,
-    of ``scalar`` times the product over factors of the entry at the base-q
-    index of their positions.  A term stops at its first zero factor.  The
+    """Sum, over every assignment of the free suffix ``values[n_fixed:]``, of
+    ``scalar`` times the product over factors of the entry at the base-q
+    index of their positions.  Pinned-only factors fold into one prefix; each
+    other factor is read at the depth of its last position, one partial
+    product per depth, and a zero partial product skips its subtree.  The
     free suffix must start at zeros and is left at zeros."""
-    n = len(values)
+    n_free = len(values) - n_fixed
+    prefix = scalar
+    placed: List[List[Factor]] = [[] for _ in range(n_free)]
+    for entries, positions in factors:
+        last = max(positions, default=-1)
+        if last >= n_fixed:
+            placed[last - n_fixed].append((entries, positions))
+            continue
+        idx = 0
+        for p in positions:
+            idx = idx * q + values[p]
+        prefix = prefix * entries[idx]
+    if not prefix or not n_free:
+        return prefix
+    partial = [prefix] * n_free  # partial[d]: prefix times factors above depth d
     total: Scalar = 0
+    depth, top = 0, n_free - 1
     while True:
-        term = scalar
-        for entries, positions in factors:
+        term = partial[depth]
+        for entries, positions in placed[depth]:
             idx = 0
             for p in positions:
                 idx = idx * q + values[p]
-            value = entries[idx]
-            if value == 0:
-                term = 0
+            term = term * entries[idx]
+            if not term:
                 break
-            term = term * value
-        total = total + term
-        # next assignment over the free suffix, lexicographic
-        pos = n - 1
-        while pos >= n_fixed and values[pos] == q - 1:
+        if term:
+            if depth < top:
+                depth += 1
+                partial[depth] = term
+                continue
+            total = total + term
+        # next value at this depth; an exhausted depth resets and backs up
+        pos = n_fixed + depth
+        while values[pos] == q - 1:
             values[pos] = 0
             pos -= 1
-        if pos < n_fixed:
-            return total
+            depth -= 1
+            if depth < 0:
+                return total
         values[pos] += 1
 
 
@@ -80,6 +102,8 @@ def pinned_partition(
     if any(not 0 <= x < q for x in psi):
         raise ValueError("pin value out of domain range")
     cap = DEFAULT_TERM_CAP if cap is None else cap
+    if cap < 0:
+        raise ValueError(f"term cap must be at least 0, got {cap}")
 
     free = inst.unlabeled_variables()
     terms = q ** len(free)

@@ -262,6 +262,12 @@ def test_signature_matrix_cap():
     assert holant_value(closed, cap=9) == 8
 
 
+def test_signature_matrix_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="term cap"):
+        signature_matrix(identity_gadget(2), cap=-1)
+    assert signature_matrix(identity_gadget(2), cap=4) == signature_matrix(identity_gadget(2))
+
+
 def test_gadget_validation():
     with pytest.raises(GadgetError):
         Gadget(2, (EQ,), (((0, 0), (0, 0)),))  # port used twice

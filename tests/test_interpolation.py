@@ -354,6 +354,14 @@ def test_distinguish_swaps_for_larger_second_domain():
     assert result.z_f != result.z_g
 
 
+def test_distinguish_rejects_negative_max_probes():
+    # isomorphic sets and non-isomorphic ones alike: the bound is checked first
+    for gset in (EQ2, DIAG12):
+        with pytest.raises(ValueError, match="max_probes"):
+            distinguish(EQ2, gset, max_probes=-1)
+    assert distinguish(EQ2, DIAG12, max_probes=2).witness is not None
+
+
 def test_distinguish_pins():
     result = distinguish(DIAG12, DIAG12, (0,), (0,))
     assert result.sigma == (0, 1)

@@ -211,6 +211,24 @@ def test_cli_zero_caps_are_honoured(tmp_path, capsys):
     assert err.count("cap exceeded") == 3
 
 
+def test_cli_negative_caps_are_input_errors(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "f.json", EQ_SET_OBJ)
+    g = _write(tmp_path, "g.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["1", "0", "0", "2"]}]})
+    k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
+    zeval = ["zeval", "--functions", f, "--instance", k]
+    pair = ["distinguish", "--f", f, "--g", g]
+    assert main(["--term-cap", "-5"] + zeval) == 2
+    assert main(pair + ["--max-probes", "-1"]) == 2
+    monkeypatch.setenv("CSPISO_MAX_PROBES", "-2")
+    assert main(pair) == 2
+    monkeypatch.setenv("CSPISO_TERM_CAP", "-1")
+    assert main(zeval) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: ") == 4
+    assert "cap exceeded" not in captured.err and captured.out == ""
+
+
 def test_cli_zero_span_bound_is_an_input_error(tmp_path, capsys, monkeypatch):
     f = _write(tmp_path, "f.json",
                {"functions": [{"q": 2, "arity": 2, "entries": ["0", "1", "1", "0"]}]})

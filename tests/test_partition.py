@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cspiso.algebra import all_tuples, binary_from_rows
+from cspiso.algebra import all_tuples, binary_from_rows, gaussian
 from cspiso.corpus import random_cfset, random_instance
 from cspiso.instances import CFSet, LabeledInstance, product, unit_instance
 from cspiso.partition import (
     TermCapExceeded,
+    _sum_product,
     partition_function,
     pinned_partition,
 )
@@ -109,3 +110,89 @@ def test_weighted_partition_value():
     inst = LabeledInstance(("a", "b"), ((0, ("a", "b")),))
     # identity constraint forces a == b: (1/2)^2 + 3^2
     assert partition_function(fset, inst) == Fraction(1, 4) + 9
+
+
+def _naive_sum_product(q, factors, values, n_fixed, scalar=1):
+    """Oracle for ``_sum_product``: the full product, rebuilt for every
+    assignment of the free suffix in lexicographic order."""
+    n = len(values)
+    total = 0
+    while True:
+        term = scalar
+        for entries, positions in factors:
+            idx = 0
+            for p in positions:
+                idx = idx * q + values[p]
+            term = term * entries[idx]
+        total = total + term
+        pos = n - 1
+        while pos >= n_fixed and values[pos] == q - 1:
+            values[pos] = 0
+            pos -= 1
+        if pos < n_fixed:
+            return total
+        values[pos] += 1
+
+
+def _random_entry(rng, kind):
+    if rng.random() < 0.3:
+        return 0
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+def test_sum_product_matches_the_naive_oracle():
+    rng = random.Random(26)
+    for trial in range(600):
+        q = rng.randint(1, 4)
+        n = rng.randint(0, 5 if q < 4 else 4)
+        n_fixed = rng.randint(0, n)
+        kind = ("int", "fraction", "gaussian")[trial % 3]
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            arity = rng.randint(0, 3) if n else 0
+            positions = tuple(rng.randrange(n) for _ in range(arity))  # may repeat
+            factors.append(([_random_entry(rng, kind) for _ in range(q ** arity)], positions))
+        scalar = 0 if trial % 25 == 0 else _random_entry(rng, kind) or 1
+        pins = [rng.randrange(q) for _ in range(n_fixed)]
+        values = pins + [0] * (n - n_fixed)
+        got = _sum_product(q, factors, values, n_fixed, scalar)
+        assert values == pins + [0] * (n - n_fixed)
+        assert got == _naive_sum_product(q, factors, list(values), n_fixed, scalar)
+
+
+class _CountingEntries:
+    def __init__(self, entries):
+        self.entries = entries
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, idx):
+        self.reads += 1
+        return self.entries[idx]
+
+
+def test_sum_product_skips_subtrees_below_a_zero():
+    q, n = 8, 6
+    c8 = binary_from_rows([[int((i - j) % q in (1, q - 1)) for j in range(q)] for i in range(q)])
+    counting = _CountingEntries(c8.entries)
+    path = [(counting, (i, i + 1)) for i in range(n - 1)]
+    value = _sum_product(q, path, [0] * n, 0)
+    naive = _naive_sum_product(q, [(c8.entries, pos) for _, pos in path], [0] * n, 0)
+    assert value == naive == q * 2 ** (n - 1)
+    assert counting.reads < q ** n // 10
+
+
+def test_negative_term_cap_is_bad_input():
+    fset = CFSet((binary_from_rows([[1, 1], [1, 1]]),))
+    inst = LabeledInstance(("a", "b"), ((0, ("a", "b")),), ("a",))
+    with pytest.raises(ValueError, match="term cap"):
+        pinned_partition(fset, inst, (0,), cap=-1)
+    with pytest.raises(ValueError, match="term cap"):
+        partition_function(fset, inst, cap=-5)
+    assert partition_function(fset, inst, cap=4) == 4
