@@ -358,15 +358,6 @@ def binary_from_rows(rows: Sequence[Sequence[Scalar]]) -> ConstraintFunction:
     return ConstraintFunction(q, 2, tuple(entries))
 
 
-def swap_function(q: int) -> ConstraintFunction:
-    """4-ary ``S(x1,x2,y1,y2) = [x1=y2][x2=y1]`` used for strand crossings."""
-    entries = [
-        int(x1 == y2 and x2 == y1)
-        for (x1, x2, y1, y2) in all_tuples(q, 4)
-    ]
-    return ConstraintFunction(q, 4, tuple(entries))
-
-
 # ---------------------------------------------------------------------------
 # Matrices (flattenings, signature matrices, intertwiners)
 # ---------------------------------------------------------------------------

@@ -112,10 +112,8 @@ def _cmd_twins(args, config: RunConfig) -> int:
 def _cmd_distinguish(args, config: RunConfig) -> int:
     fset = cfset_from_obj(load_json(args.f))
     gset = cfset_from_obj(load_json(args.g))
-    phi = parse_pin(args.pin_f or "", 0 if args.pin_f is None else _pin_len(args.pin_f), fset.q) \
-        if args.pin_f else ()
-    psi = parse_pin(args.pin_g or "", 0 if args.pin_g is None else _pin_len(args.pin_g), gset.q) \
-        if args.pin_g else ()
+    phi = parse_pin(args.pin_f, _pin_len(args.pin_f), fset.q) if args.pin_f else ()
+    psi = parse_pin(args.pin_g, _pin_len(args.pin_g), gset.q) if args.pin_g else ()
     max_probes = config.max_probes if args.max_probes is None else args.max_probes
     result = distinguish(fset, gset, phi, psi, max_probes=max_probes)
     if result.sigma is not None:

@@ -18,9 +18,13 @@ stacks both lists in order and gives a Kronecker product; adjoint swaps the
 two lists (no reversal) and conjugates, giving the conjugate transpose.
 
 Equality vertices are symbolic (the ``EQ`` sentinel): their arity is their
-degree, a degree-0 equality vertex contributes the scalar ``q``, and
-composition contracts equality-equality edges, which never changes the
-Holant value.
+degree, and a degree-0 equality vertex contributes the scalar ``q``.
+Composition contracts in one union-find pass: the equality vertices joined
+by equality-equality edges (self-loops included) form classes, each class
+becomes one equality vertex carrying the ports the others left, and the
+joining edges go.  A class left with no port is the scalar ``q``, so the
+Holant value never changes and bipartite gadgets compose into bipartite
+gadgets.
 
 Evaluation
 ----------
@@ -132,14 +136,6 @@ class Gadget:
     def n_inputs(self) -> int:
         return len(self.inputs)
 
-    def degree(self, v: int) -> int:
-        deg = 0
-        for (a, b) in self.edges:
-            deg += (a[0] == v) + (b[0] == v)
-        for (w, _) in self.outputs + self.inputs:
-            deg += w == v
-        return deg
-
     def is_bipartite_over(self, fset: CFSet) -> bool:
         """All edges join an equality vertex and a function vertex drawn from
         the set, and all dangling ports sit on equality vertices."""
@@ -239,95 +235,14 @@ def holant_value(g: Gadget, cap: Optional[int] = None) -> Scalar:
 # Gadget operations
 # ---------------------------------------------------------------------------
 
-def _remap(port_map: Dict[Port, Port], port: Port) -> Port:
-    return port_map.get(port, port)
-
-
-def _contract_equalities(
-    q: int,
-    signatures: List[Signature],
-    edges: List[Tuple[Port, Port]],
-    outputs: List[Port],
-    inputs: List[Port],
-) -> Gadget:
-    """Contract equality-equality edges and drop equality self-loops.
-
-    Neither step changes the Holant value: merging two equality vertices
-    along an edge enforces the same all-equal constraint, and a self-loop on
-    an equality vertex either fixes nothing new (degree > 2 remains) or
-    leaves a free loop worth ``q`` (the degree-0 equality scalar).
-    """
-
-    def is_eq(v: int) -> bool:
-        return isinstance(signatures[v], _EqualitySignature)
-
-    changed = True
-    while changed:
-        changed = False
-        for idx, (a, b) in enumerate(edges):
-            u, v = a[0], b[0]
-            if u == v and is_eq(u):
-                # equality self-loop: remove the two ports
-                del edges[idx]
-                port_map = _loop_removal_map(a, b, edges, outputs, inputs)
-                edges[:] = [(_remap(port_map, x), _remap(port_map, y)) for x, y in edges]
-                outputs[:] = [_remap(port_map, p) for p in outputs]
-                inputs[:] = [_remap(port_map, p) for p in inputs]
-                changed = True
-                break
-            if u != v and is_eq(u) and is_eq(v):
-                del edges[idx]
-                port_map, vertex_map = _merge_map(u, a[1], v, b[1], len(signatures), edges, outputs, inputs)
-                edges[:] = [(port_map[x], port_map[y]) for x, y in edges]
-                outputs[:] = [port_map[p] for p in outputs]
-                inputs[:] = [port_map[p] for p in inputs]
-                signatures[:] = [signatures[w] for w in vertex_map]
-                changed = True
-                break
-    return Gadget(q, tuple(signatures), tuple(edges), tuple(outputs), tuple(inputs))
-
-
-def _loop_removal_map(a: Port, b: Port, edges, outputs, inputs) -> Dict[Port, Port]:
-    # The loop edge is already deleted; compact the surviving ports of its vertex.
-    v = a[0]
-    used_ports = sorted(p for (w, p) in _all_ports(edges, outputs, inputs) if w == v)
-    return {(v, p): (v, rank) for rank, p in enumerate(used_ports)}
-
-
-def _all_ports(edges, outputs, inputs):
-    for (a, b) in edges:
-        yield a
-        yield b
-    yield from outputs
-    yield from inputs
-
-
-def _merge_map(u: int, pu: int, v: int, pv: int, n_vertices: int, edges, outputs, inputs):
-    """Merge vertex v into u; the shared edge must already be deleted."""
-    u_ports = sorted(p for (w, p) in _all_ports(edges, outputs, inputs) if w == u)
-    v_ports = sorted(p for (w, p) in _all_ports(edges, outputs, inputs) if w == v)
-    vertex_map = [w for w in range(n_vertices) if w != v]
-    new_index = {w: i for i, w in enumerate(vertex_map)}
-    port_map: Dict[Port, Port] = {}
-    for rank, p in enumerate(u_ports):
-        port_map[(u, p)] = (new_index[u], rank)
-    offset = len(u_ports)
-    for rank, p in enumerate(v_ports):
-        port_map[(v, p)] = (new_index[u], offset + rank)
-    for w in range(n_vertices):
-        if w in (u, v):
-            continue
-        for p in sorted(p for (x, p) in _all_ports(edges, outputs, inputs) if x == w):
-            port_map[(w, p)] = (new_index[w], p)
-    return port_map, vertex_map
-
-
-def compose(g1: Gadget, g2: Gadget, contract: bool = True) -> Gadget:
+def compose(g1: Gadget, g2: Gadget) -> Gadget:
     """Merge the a-th stored input of ``g1`` with the a-th output of ``g2``.
 
     Read in the drawn cyclic numbering (inputs bottom-to-top) this merges
     the i-th input onto the (k-i+1)-th output; the stored top-to-bottom
-    order turns the same rule into a plain zip.
+    order turns the same rule into a plain zip.  Equality vertices that the
+    new edges join are then merged (``_merge_equalities``), so bipartite
+    gadgets compose into bipartite gadgets.
     """
     if g1.q != g2.q:
         raise GadgetError("domain size mismatch")
@@ -336,17 +251,40 @@ def compose(g1: Gadget, g2: Gadget, contract: bool = True) -> Gadget:
             f"cannot compose: left has {g1.n_inputs} inputs, right has {g2.n_outputs} outputs"
         )
     offset = len(g1.signatures)
-    signatures = list(g1.signatures) + list(g2.signatures)
     shift = lambda port: (port[0] + offset, port[1])
     edges = list(g1.edges) + [(shift(a), shift(b)) for a, b in g2.edges]
-    edges += [
-        (g1.inputs[a], shift(g2.outputs[a])) for a in range(g1.n_inputs)
-    ]
-    outputs = list(g1.outputs)
+    edges += [(g1.inputs[a], shift(g2.outputs[a])) for a in range(g1.n_inputs)]
     inputs = [shift(p) for p in g2.inputs]
-    if not contract:
-        return Gadget(g1.q, tuple(signatures), tuple(edges), tuple(outputs), tuple(inputs))
-    return _contract_equalities(g1.q, signatures, edges, outputs, inputs)
+    return _merge_equalities(g1.q, g1.signatures + g2.signatures, edges, g1.outputs, inputs)
+
+
+def _merge_equalities(q, signatures, edges, outputs, inputs) -> Gadget:
+    """One equality vertex per class of equality vertices joined by edges.
+
+    Equality-equality edges, self-loops included, are united and dropped;
+    each class keeps its root's vertex and numbers its surviving ports by
+    original ``(vertex, port)``, which leaves function vertices as they
+    were.  Every dropped edge carries its class's value, so the Holant value
+    is unchanged, and a class left without ports is a degree-0 equality
+    vertex, the scalar ``q``.
+    """
+    joins = lambda edge: all(signatures[v] is EQ for v, _ in edge)
+    root = union_find(range(len(signatures)), ((e[0][0], e[1][0]) for e in edges if joins(e)))
+    kept = {r: i for i, r in enumerate(sorted(set(root.values())))}
+    edges = [e for e in edges if not joins(e)]
+    new_port: Dict[Port, Port] = {}
+    used = [0] * len(signatures)
+    for v, p in sorted([port for e in edges for port in e] + list(outputs) + list(inputs)):
+        new_port[(v, p)] = (kept[root[v]], used[root[v]])
+        used[root[v]] += 1
+    remap = new_port.__getitem__
+    return Gadget(
+        q,
+        tuple(signatures[v] for v in kept),
+        tuple((remap(a), remap(b)) for a, b in edges),
+        tuple(map(remap, outputs)),
+        tuple(map(remap, inputs)),
+    )
 
 
 def tensor(g1: Gadget, g2: Gadget) -> Gadget:
@@ -417,82 +355,6 @@ def crossing_gadget(q: int, sigma: Sequence[int]) -> Gadget:
     for i in range(k):
         inputs[sigma[i]] = (i, 1)
     return Gadget(q, (EQ,) * k, (), outputs, tuple(inputs))
-
-
-# ---------------------------------------------------------------------------
-# Wire normalization (structural comparisons only)
-# ---------------------------------------------------------------------------
-
-def strip_wire_vertices(g: Gadget) -> Gadget:
-    """Remove degree-2 equality vertices by splicing their two attachments.
-
-    Value-preserving; used before structural equality checks.  A wire whose
-    both ends dangle (the bare identity) is kept, as a gadget needs the
-    vertex.
-    """
-    current = g
-    while True:
-        sources: Dict[Port, Tuple[str, int]] = {}
-        for e_idx, (a, b) in enumerate(current.edges):
-            sources[a] = ("e", e_idx)
-            sources[b] = ("e", e_idx)
-        target = None
-        for v, sig in enumerate(current.signatures):
-            if not isinstance(sig, _EqualitySignature):
-                continue
-            ports = [(v, 0), (v, 1)]
-            if current.degree(v) != 2:
-                continue
-            attach = [sources.get(p) for p in ports]
-            if all(a is not None and a[0] == "e" for a in attach):
-                e1, e2 = attach[0][1], attach[1][1]
-                if e1 == e2:
-                    continue  # loop through the wire vertex; leave it
-                target = (v, "splice", e1, e2)
-                break
-            if any(a is not None and a[0] == "e" for a in attach):
-                target = (v, "pull", None, None)
-                break
-        if target is None:
-            return current
-        v = target[0]
-        if target[1] == "splice":
-            _, _, e1, e2 = target
-            other1 = _other_end(current.edges[e1], v)
-            other2 = _other_end(current.edges[e2], v)
-            edges = [e for i, e in enumerate(current.edges) if i not in (e1, e2)]
-            edges.append((other1, other2))
-        else:
-            # one edge, one dangling: move the dangling to the far end
-            (e_idx,) = [i for i, (a, b) in enumerate(current.edges) if a[0] == v or b[0] == v]
-            far = _other_end(current.edges[e_idx], v)
-            edges = [e for i, e in enumerate(current.edges) if i != e_idx]
-            dangling_port = next(p for p in current.outputs + current.inputs if p[0] == v)
-            outputs = [far if p == dangling_port else p for p in current.outputs]
-            inputs = [far if p == dangling_port else p for p in current.inputs]
-            current = _drop_vertex(current.q, list(current.signatures), edges, outputs, inputs, v)
-            continue
-        current = _drop_vertex(
-            current.q, list(current.signatures), edges, list(current.outputs), list(current.inputs), v
-        )
-
-
-def _other_end(edge: Tuple[Port, Port], v: int) -> Port:
-    a, b = edge
-    return b if a[0] == v else a
-
-
-def _drop_vertex(q, signatures, edges, outputs, inputs, v) -> Gadget:
-    vertex_map = [w for w in range(len(signatures)) if w != v]
-    new_index = {w: i for i, w in enumerate(vertex_map)}
-    remap = lambda p: (new_index[p[0]], p[1])
-    return Gadget(
-        q,
-        tuple(signatures[w] for w in vertex_map),
-        tuple((remap(a), remap(b)) for a, b in edges),
-        tuple(remap(p) for p in outputs),
-        tuple(remap(p) for p in inputs),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from .algebra import all_tuples
 from .corpus import (
     random_bipartite_gadget,
     random_cfset,
+    random_gadget,
     random_instance,
     random_rational,
 )
@@ -59,8 +60,8 @@ def _functoriality(rng: random.Random) -> bool:
     for _ in range(10):
         q = rng.randint(2, 3)
         mid = rng.randint(0, 2)
-        g1 = random_gadget_shapes(rng, q, rng.randint(0, 2), mid)
-        g2 = random_gadget_shapes(rng, q, mid, rng.randint(0, 2))
+        g1 = random_gadget(rng, q, rng.randint(0, 2), mid, max_internal_edges=2, max_vertices=3)
+        g2 = random_gadget(rng, q, mid, rng.randint(0, 2), max_internal_edges=2, max_vertices=3)
         if signature_matrix(compose(g1, g2)) != signature_matrix(g1).mul(signature_matrix(g2)):
             return False
         if signature_matrix(tensor(g1, g2)) != signature_matrix(g1).kron(signature_matrix(g2)):
@@ -68,12 +69,6 @@ def _functoriality(rng: random.Random) -> bool:
         if signature_matrix(adjoint(g1)) != signature_matrix(g1).conjugate_transpose():
             return False
     return True
-
-
-def random_gadget_shapes(rng, q, n_out, n_in):
-    from .corpus import random_gadget
-
-    return random_gadget(rng, q, n_out, n_in, max_internal_edges=2, max_vertices=3)
 
 
 def _bridge(rng: random.Random) -> bool:

@@ -49,8 +49,9 @@ def _emit_block(
     c: int,
     allow_repeats: bool,
     allow_label_only: bool,
-    multiset: bool,
 ) -> List[LabeledInstance]:
+    """One block of candidates, sorted by canonical key.  ``allow_repeats``
+    lets a constraint repeat a variable and the instance repeat a constraint."""
     labels = _labels(k)
     frees = _frees(m)
     variables = labels + frees
@@ -70,13 +71,13 @@ def _emit_block(
             pool.append((j, tuple(vs)))
     picker = (
         itertools.combinations_with_replacement(pool, c)
-        if multiset
+        if allow_repeats
         else itertools.combinations(pool, c)
     )
     out = []
     seen: Set = set()
     for combo in picker:
-        if not multiset:
+        if not allow_repeats:
             keys = {(j, tuple(sorted(vs, key=str))) for j, vs in combo}
             if len(keys) != len(combo):
                 continue
@@ -110,7 +111,7 @@ def simple_candidates(
                 continue
             if _block_too_large(arities, k, m, c, False, max_block):
                 continue
-            yield from _emit_block(arities, k, m, c, False, False, False)
+            yield from _emit_block(arities, k, m, c, False, False)
 
 
 def pli_candidates(
@@ -132,7 +133,7 @@ def pli_candidates(
                 continue
             if _block_too_large(arities, k, m, c, True, max_block):
                 continue
-            yield from _emit_block(arities, k, m, c, True, k > 0, True)
+            yield from _emit_block(arities, k, m, c, True, k > 0)
 
 
 def _block_too_large(arities, k, m, c, allow_repeats, max_block) -> bool:

@@ -27,11 +27,11 @@ import pytest
 
 from cspiso.algebra import (
     ConstraintFunction,
+    Matrix,
     all_tuples,
     binary_from_rows,
     equality_function,
     flatten,
-    swap_function,
     tuple_to_index,
 )
 from cspiso.corpus import (
@@ -48,6 +48,7 @@ from cspiso.holant import (
     Gadget,
     adjoint,
     compose,
+    crossing_gadget,
     csp_to_grid,
     holant_value,
     signature_matrix,
@@ -505,6 +506,9 @@ def test_6_holant_bridge():
 
 def test_7_intertwiner_orbit_bases():
     failures = []
+    crossing = signature_matrix(crossing_gadget(3, (1, 0)))
+    if crossing == Matrix.identity(9):
+        failures.append(("S22 is the identity",))
     for group in all_subgroups(3):
         for k in range(4):
             for l in range(4 - k):
@@ -523,7 +527,7 @@ def test_7_intertwiner_orbit_bases():
             failures.append(("E11", group.generators))
         if not is_intertwiner(flatten(equality_function(3, 2), 2, 0), group, 2, 0):
             failures.append(("E20", group.generators))
-        if not is_intertwiner(flatten(swap_function(3), 2, 2), group, 2, 2):
+        if not is_intertwiner(crossing, group, 2, 2):
             failures.append(("S22", group.generators))
     _report("7 intertwiner spaces over subgroups of S3", not failures)
     assert not failures, failures[:5]

@@ -14,7 +14,14 @@ from cspiso.algebra import (
     tuple_to_index,
     unary_function,
 )
-from cspiso.corpus import random_cfset, random_function, random_gadget, random_instance
+from cspiso.corpus import (
+    random_bipartite_gadget,
+    random_cfset,
+    random_function,
+    random_gadget,
+    random_instance,
+)
+from cspiso.expressions import decompose, evaluate_expression
 from cspiso.holant import (
     EQ,
     Gadget,
@@ -29,7 +36,6 @@ from cspiso.holant import (
     holant_value,
     identity_gadget,
     signature_matrix,
-    strip_wire_vertices,
     tensor,
 )
 from cspiso.instances import CFSet, LabeledInstance
@@ -89,8 +95,14 @@ def test_compose_with_identity_stack():
 
 def test_compose_of_split_and_merge_is_a_wire():
     wire = compose(equality_gadget(2, 1, 2), equality_gadget(2, 2, 1))
+    assert wire == identity_gadget(2)
     assert signature_matrix(wire) == Matrix.identity(2)
-    assert strip_wire_vertices(wire) == identity_gadget(2)
+
+
+def test_compose_of_cap_and_cup_is_the_scalar_q():
+    loop = compose(equality_gadget(3, 0, 2), equality_gadget(3, 2, 0))
+    assert loop == Gadget(3, (EQ,), ())
+    assert holant_value(loop) == 3
 
 
 def test_functoriality_on_random_gadgets():
@@ -107,6 +119,16 @@ def test_functoriality_on_random_gadgets():
         assert adjoint(adjoint(g1)) == g1
 
 
+def _wire(g1: Gadget, g2: Gadget) -> Gadget:
+    """``compose`` without the merge: the new edges stay as they are."""
+    offset = len(g1.signatures)
+    shift = lambda port: (port[0] + offset, port[1])
+    edges = g1.edges + tuple((shift(a), shift(b)) for a, b in g2.edges)
+    edges += tuple(zip(g1.inputs, map(shift, g2.outputs)))
+    return Gadget(g1.q, g1.signatures + g2.signatures, edges, g1.outputs,
+                  tuple(map(shift, g2.inputs)))
+
+
 def test_equality_contraction_preserves_the_value():
     rng = random.Random(54)
     for _ in range(25):
@@ -114,9 +136,21 @@ def test_equality_contraction_preserves_the_value():
         mid = rng.randint(1, 2)
         g1 = random_gadget(rng, q, rng.randint(0, 1), mid, max_internal_edges=2, max_vertices=3)
         g2 = random_gadget(rng, q, mid, rng.randint(0, 1), max_internal_edges=2, max_vertices=3)
-        raw = compose(g1, g2, contract=False)
-        contracted = compose(g1, g2, contract=True)
-        assert signature_matrix(raw) == signature_matrix(contracted)
+        assert signature_matrix(_wire(g1, g2)) == signature_matrix(compose(g1, g2))
+
+
+def test_compose_keeps_bipartite_gadgets_bipartite():
+    """Small on purpose: ``decompose`` grows as q^(internal edges)."""
+    rng = random.Random(59)
+    for _ in range(60):
+        fset = random_cfset(rng, 2, rng.randint(1, 2))
+        mid = rng.randint(0, 2)
+        g1 = random_bipartite_gadget(rng, fset, 1, rng.randint(0, 1), rng.randint(0, 2), mid)
+        g2 = random_bipartite_gadget(rng, fset, 1, rng.randint(0, 1), mid, rng.randint(0, 2))
+        composed = compose(g1, g2)
+        assert composed.is_bipartite_over(fset)
+        product = signature_matrix(g1).mul(signature_matrix(g2))
+        assert evaluate_expression(decompose(composed, fset), 2, fset.functions) == product
 
 
 def test_crossing_gadget_swap_matrix():

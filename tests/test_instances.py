@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from cspiso.instances import (
     same_up_to_renaming,
     unit_instance,
 )
+from cspiso.witnesses import pli_candidates, probe_stream
 
 
 def single_constraint(k, j, vs, labels):
@@ -137,3 +140,20 @@ def test_forget_labels_on_unit():
     dropped = forget_labels(u, 2)
     assert dropped.k == 2
     assert len(dropped.variables) == 4
+
+
+def test_probe_order_is_pinned():
+    """``distinguish`` reads these streams in order, so their order is part
+    of its output; the digests pin it."""
+    prefixes = [
+        (probe_stream((1, 2), 1), 120,
+         "94698cebabdf7108561e0d00f05a841ecc8310bd7f921449750b8ab6e2e12482"),
+        (pli_candidates((2,), 1), 300,
+         "e5c7c881f96c6c66e5f4c228e0b5b4d950e86748f5150ee8da2579117f72fb75"),
+        (probe_stream((1, 1), 1), None,
+         "7958e80a94c92d1b05dccc52257701b2a4507df4fb472ab9a527709b4238f0ee"),
+    ]
+    for stream, n, digest in prefixes:
+        probes = list(itertools.islice(stream, n))
+        assert n is None or len(probes) == n
+        assert hashlib.sha256(repr(probes).encode()).hexdigest() == digest

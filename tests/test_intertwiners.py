@@ -10,9 +10,9 @@ from cspiso.algebra import (
     equality_function,
     flatten,
     gaussian,
-    swap_function,
     unary_function,
 )
+from cspiso.holant import crossing_gadget, signature_matrix
 from cspiso.instances import CFSet
 from cspiso.partition import pinned_partition
 from cspiso.structure import automorphisms
@@ -66,7 +66,9 @@ def test_closure_memberships():
         q = 3
         assert is_intertwiner(Matrix.identity(q), group, 1, 1)
         assert is_intertwiner(flatten(equality_function(q, 2), 2, 0), group, 2, 0)
-        assert is_intertwiner(flatten(swap_function(q), 2, 2), group, 2, 2)
+        crossing = signature_matrix(crossing_gadget(q, (1, 0)))
+        assert crossing != Matrix.identity(q * q)
+        assert is_intertwiner(crossing, group, 2, 2)
         all_ones = Matrix(tuple((1,) * q for _ in range(q)))
         assert is_intertwiner(all_ones, group, 1, 1)
 

@@ -136,6 +136,21 @@ def test_cli_distinguish(tmp_path, capsys):
     assert "Z_f = 2" in out and "Z_g = 3" in out
 
 
+def test_cli_distinguish_with_pins(tmp_path, capsys):
+    f = _write(tmp_path, "f.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["1", "2", "2", "1"]}]})
+    pair = ["distinguish", "--f", f, "--g", f]
+    assert main(pair + ["--pin-f", "1=1", "--pin-g", "1=2"]) == 0
+    assert "isomorphic via sigma=(2 1)" in capsys.readouterr().out
+    assert main(pair + ["--pin-f", "1=1,2=1", "--pin-g", "1=1,2=2"]) == 1
+    assert "not isomorphic; witness instance:" in capsys.readouterr().out
+    assert main(pair + ["--pin-f", "1=3", "--pin-g", "1=1"]) == 2
+    assert "value 3 out of range 1..2" in capsys.readouterr().err
+    assert main(pair + ["--pin-f", "1=1"]) == 2
+    assert "equal length" in capsys.readouterr().err
+    assert main(pair + ["--pin-f"]) == 2
+
+
 def test_cli_sigmat_and_decompose(tmp_path, capsys):
     fset_obj = EQ_SET_OBJ
     f = _write(tmp_path, "f.json", fset_obj)
