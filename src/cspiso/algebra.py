@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 
@@ -33,6 +34,10 @@ class AlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _norm_rational(x) -> Union[int, Fraction]:
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -66,7 +71,7 @@ class GaussianRational:
     def __hash__(self):
         if self.im == 0:
             return hash(self.re)
-        return hash((Fraction(self.re), Fraction(self.im)))
+        return hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -160,10 +165,42 @@ def scalar_inverse(x: Scalar) -> Scalar:
     return _norm_rational(Fraction(1, 1) / Fraction(x))
 
 
+def integer_form(values: Tuple[Scalar, ...]) -> Tuple[Tuple[Scalar, ...], int]:
+    """``(values * d, d)`` for the lcm ``d`` of the denominators of the
+    values (of their parts, for Gaussian values): every scaled value is an
+    ``int`` or a Gaussian integer.  Without denominators and ``Fraction``
+    values the tuple itself comes back, with ``d == 1``."""
+    if all(type(x) is int for x in values):  # the common case, in one pass
+        return values, 1
+    den = 1
+    for x in values:
+        if isinstance(x, GaussianRational):
+            den = lcm(den, x.re.denominator, x.im.denominator)
+        elif isinstance(x, Fraction):
+            den = lcm(den, x.denominator)
+    if den == 1 and not any(isinstance(x, Fraction) for x in values):
+        return values, 1
+    scaled = tuple(
+        x * den if isinstance(x, GaussianRational) else _norm_rational(x * den) for x in values
+    )
+    return scaled, den
+
+
+def exact_quotient(value: Scalar, den: int) -> Scalar:
+    """``value / den`` for an ``int`` or Gaussian-integer ``value`` and an
+    integer ``den >= 1``, normalized like every scalar here: a whole number
+    is an ``int``."""
+    if den == 1 or not value:
+        return value
+    if isinstance(value, GaussianRational):
+        return gaussian(Fraction(value.re, den), Fraction(value.im, den))
+    return _norm_rational(Fraction(value, den))
+
+
 def scalar_sort_key(x: Scalar):
     if isinstance(x, GaussianRational):
-        return (Fraction(x.re), Fraction(x.im))
-    return (Fraction(x), Fraction(0))
+        return (x.re, x.im)
+    return (x, 0)
 
 
 def parse_scalar(text) -> Scalar:
@@ -296,6 +333,10 @@ class ConstraintFunction:
                 f"expected {self.q ** self.arity} entries, got {len(entries)}"
             )
         object.__setattr__(self, "_hash", hash((self.q, self.arity, entries)))
+        # the entries times the lcm of their denominators, and that lcm
+        int_entries, den = integer_form(entries)
+        object.__setattr__(self, "_int_entries", int_entries)
+        object.__setattr__(self, "_den", den)
 
     def __hash__(self):
         return self._hash

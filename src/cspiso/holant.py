@@ -33,8 +33,10 @@ classes and sums over the values of the free classes with
 ``partition._sum_product``, the depth-first kernel behind
 ``pinned_partition``, which skips every subtree below a zero partial
 product; by the #CSP-Holant bridge (``csp_to_grid``) the two compute one
-sum.  Its term cap, ``partition.DEFAULT_TERM_CAP``, counts every assignment,
-and it raises ``partition.TermCapExceeded``.
+sum.  Like ``pinned_partition`` it passes the integer form of every function
+vertex's table and divides each entry once by the product of their
+denominators.  Its term cap, ``partition.DEFAULT_TERM_CAP``, counts every
+assignment, and it raises ``partition.TermCapExceeded``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ from .algebra import (
     Scalar,
     all_tuples,
     conjugate_function,
+    exact_quotient,
     union_find,
 )
 from .instances import CFSet, LabeledInstance
-from .partition import DEFAULT_TERM_CAP, TermCapExceeded, _sum_product
+from .partition import DEFAULT_TERM_CAP, TermCapExceeded, _integer_factors, _sum_product
 
 
 class GadgetError(ValueError):
@@ -206,9 +209,9 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
     if terms > cap:
         raise TermCapExceeded(terms, cap)
 
-    factors = [
-        (fn.entries, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices
-    ]
+    factors, den = _integer_factors(
+        [(fn, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices]
+    )
     port_class = [number[root[n_edges + i]] for i in range(k + l)]
     scalar = q ** n_free_eq
     values = [0] * len(number)
@@ -220,7 +223,7 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
             continue
         for c, x in pins.items():
             values[c] = x
-        flat.append(_sum_product(q, factors, values, n_fixed, scalar))
+        flat.append(exact_quotient(_sum_product(q, factors, values, n_fixed, scalar), den))
     cols = q ** l
     return Matrix(tuple(tuple(flat[i:i + cols]) for i in range(0, len(flat), cols)))
 
@@ -387,7 +390,7 @@ def csp_to_grid(inst: LabeledInstance, fset: CFSet, n_output_labels: Optional[in
             edges.append(((u, next_port[u]), (c_vertex, pos)))
             next_port[u] += 1
     if fset.weights is not None:
-        weight = ConstraintFunction(fset.q, 1, fset.weights)
+        weight = fset._weight_fn
         for v in inst.unlabeled_variables():
             u = var_vertex[v]
             edges.append(((u, next_port[u]), (len(signatures), 0)))

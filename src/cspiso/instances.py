@@ -56,6 +56,9 @@ class CFSet:
                 raise InstanceError(f"expected {q} domain weights, got {len(weights)}")
             if any(w == 0 for w in weights):
                 raise InstanceError("domain weights must be nonzero")
+        # the weights as a unary table, which keeps their integer form
+        weight_fn = None if self.weights is None else ConstraintFunction(q, 1, self.weights)
+        object.__setattr__(self, "_weight_fn", weight_fn)
         object.__setattr__(self, "_arities", tuple(f.arity for f in functions))
         object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_hash", hash((functions, self.weights)))

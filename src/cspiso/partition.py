@@ -10,13 +10,21 @@ partial product.  The term cap (``DEFAULT_TERM_CAP``, ``TermCapExceeded``,
 shared with the Holant side) counts all ``q**free`` assignments, skipped or
 not, so #P-hardness cannot turn into a hang; a negative cap is a
 ``ValueError``.
+
+Rational and Gaussian tables enter the kernel in integer form: every
+``ConstraintFunction`` (the weights too, which a ``CFSet`` keeps as a unary
+one) keeps its entries times the lcm of their denominators, and that lcm (1
+for a table of integers, which passes its own tuple).  The kernel then
+multiplies integers (or Gaussian integers) only, and the sum is divided once
+by the product of the denominators its factors used (``_integer_factors``,
+``algebra.exact_quotient``).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Scalar
+from .algebra import ConstraintFunction, Scalar, exact_quotient
 from .instances import CFSet, LabeledInstance, PinMap
 
 DEFAULT_TERM_CAP = 10_000_000
@@ -87,6 +95,19 @@ def _sum_product(
         values[pos] += 1
 
 
+def _integer_factors(
+    tables: Sequence[Tuple[ConstraintFunction, Tuple[int, ...]]],
+) -> Tuple[List[Factor], int]:
+    """``(function, positions)`` tables as ``_sum_product`` factors over the
+    functions' integer forms, and the product of their denominators, by
+    which the kernel's sum is divided once (``algebra.exact_quotient``)."""
+    factors, den = [], 1
+    for fn, positions in tables:
+        factors.append((fn._int_entries, positions))
+        den *= fn._den
+    return factors, den
+
+
 def pinned_partition(
     fset: CFSet,
     inst: LabeledInstance,
@@ -94,7 +115,9 @@ def pinned_partition(
     cap: Optional[int] = None,
 ) -> Scalar:
     """``Z^psi``: sum over extensions of the pinning, already normalized by
-    the pinned weights (only unlabeled variables contribute weight factors)."""
+    the pinned weights (only unlabeled variables contribute weight factors).
+    The kernel sums the integer tables; the sum is divided once by one
+    denominator per constraint and one per weighted free variable."""
     inst.validate_against(fset)
     q = fset.q
     if len(psi) != inst.k:
@@ -113,14 +136,14 @@ def pinned_partition(
     # Variable order: labeled first (fixed), then free in stable order.
     order = list(inst.labels) + list(free)
     position = {v: i for i, v in enumerate(order)}
-    factors: List[Factor] = [
-        (fset.functions[j].entries, tuple(position[v] for v in vs))
-        for j, vs in inst.constraints
+    tables = [
+        (fset.functions[j], tuple(position[v] for v in vs)) for j, vs in inst.constraints
     ]
     # weights never vanish: after the constraints, a zero term skips them
     if fset.weights is not None:
-        factors += [(fset.weights, (i,)) for i in range(len(psi), len(order))]
-    return _sum_product(q, factors, list(psi) + [0] * len(free), len(psi))
+        tables += [(fset._weight_fn, (i,)) for i in range(len(psi), len(order))]
+    factors, den = _integer_factors(tables)
+    return exact_quotient(_sum_product(q, factors, list(psi) + [0] * len(free), len(psi)), den)
 
 
 def partition_function(fset: CFSet, inst: LabeledInstance, cap: Optional[int] = None) -> Scalar:

@@ -6,17 +6,22 @@ import pytest
 from cspiso.algebra import (
     AlgebraError,
     ConstraintFunction,
+    GaussianRational,
+    _norm_rational,
     all_tuples,
     binary_from_rows,
     conjugate_function,
     conjugate_scalar,
     equality_function,
     evaluate,
+    exact_quotient,
     flatten,
     format_scalar,
     gaussian,
+    integer_form,
     parse_scalar,
     scalar_inverse,
+    scalar_sort_key,
     tuple_to_index,
     unflatten,
 )
@@ -124,3 +129,62 @@ def test_scalar_parse_errors():
     for bad in ["", "one", "1/2+", "i2", "1/0", "1+1/0i"]:
         with pytest.raises(AlgebraError):
             parse_scalar(bad)
+
+
+def _seeded_scalars(rng, count):
+    pool = []
+    for _ in range(count):
+        re = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, -4)))))
+        im = rng.choice((0, rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.choice((2, -3)))))
+        pool.append(gaussian(re, im) if rng.random() < 0.5 else re)
+    return pool
+
+
+def test_norm_rational_returns_plain_ints():
+    assert type(_norm_rational(True)) is int and _norm_rational(True) == 1
+    assert type(gaussian(Fraction(4, 2), 0)) is int and gaussian(Fraction(4, 2), 0) == 2
+    half = Fraction(1, 2)
+    assert _norm_rational(half) is half
+    assert type(_norm_rational(Fraction(-6, 3))) is int
+
+
+def test_gaussian_hash_is_the_hash_of_its_fraction_parts():
+    rng = random.Random(11)
+    for x in _seeded_scalars(rng, 200):
+        if isinstance(x, GaussianRational):
+            assert hash(x) == hash((Fraction(x.re), Fraction(x.im)))
+        else:
+            assert hash(GaussianRational(x, 0)) == hash(x)
+
+
+def _fraction_sort_key(x):
+    """The key as it was: every part a ``Fraction``."""
+    if isinstance(x, GaussianRational):
+        return (Fraction(x.re), Fraction(x.im))
+    return (Fraction(x), Fraction(0))
+
+
+def test_scalar_sort_key_keeps_the_fraction_order():
+    rng = random.Random(12)
+    values = _seeded_scalars(rng, 300)
+    ours = sorted(values, key=scalar_sort_key)
+    theirs = sorted(values, key=_fraction_sort_key)
+    assert all(a is b for a, b in zip(ours, theirs))
+    for a, b in zip(values, values[1:]):
+        assert (scalar_sort_key(a) < scalar_sort_key(b)) == (_fraction_sort_key(a) < _fraction_sort_key(b))
+
+
+def test_integer_form_of_tables():
+    ints = (0, 3, -2)
+    assert ConstraintFunction(3, 1, ints)._int_entries is ints
+    entries = (Fraction(1, 2), Fraction(-2, 3), gaussian(Fraction(1, 4), Fraction(1, 5)), 5)
+    fn = ConstraintFunction(2, 2, entries)
+    assert fn._den == 60
+    assert fn._int_entries == (30, -40, gaussian(15, 12), 300)
+    assert all(type(x) is int or type(x.re) is type(x.im) is int for x in fn._int_entries)
+    assert integer_form((Fraction(3), Fraction(5, -10))) == ((6, -1), 2)
+    whole = integer_form((Fraction(3), 1))
+    assert whole == ((3, 1), 1) and type(whole[0][0]) is int
+    assert exact_quotient(6, 4) == Fraction(3, 2) and exact_quotient(0, 4) == 0
+    assert type(exact_quotient(8, 4)) is int and exact_quotient(8, 4) == 2
+    assert exact_quotient(gaussian(2, 4), 4) == gaussian(Fraction(1, 2), 1)

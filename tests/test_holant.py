@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cspiso.algebra import (
+    GaussianRational,
     Matrix,
     all_tuples,
     binary_from_rows,
@@ -280,6 +281,37 @@ def test_signature_matrix_matches_naive_oracle():
     assert signature_matrix(isolated) == _naive_signature_matrix(isolated)
     for q in (2, 3):
         assert signature_matrix(empty_gadget(q)) == _naive_signature_matrix(empty_gadget(q))
+
+
+_POOLS = {
+    "int": (0, 1, 2, -3),
+    "fraction": (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, -4), Fraction(7, 6), Fraction(3)),
+    "gaussian": (0, gaussian(Fraction(1, 2), Fraction(-1, 3)), gaussian(1, Fraction(2, -5)),
+                 gaussian(-1, 1), Fraction(1, 3)),
+}
+_POOLS["mixed"] = _POOLS["int"] + _POOLS["fraction"] + _POOLS["gaussian"]
+
+
+def test_grid_signature_matrices_on_integer_tables():
+    """``signature_matrix`` sums the integer tables of the grid's vertices and
+    divides each entry once; the naive oracle sums the original tables."""
+    rng = random.Random(59)
+    for trial in range(160):
+        q = 1 + trial % 4
+        kind = ("int", "fraction", "gaussian", "mixed")[trial // 4 % 4]
+        fset = random_cfset(rng, q, 2, 2, _POOLS[kind], weighted=trial % 3 == 0)
+        while True:  # keep the oracle's q^(edges + ports) terms small
+            n = rng.randint(1, 3)
+            k = rng.randint(0, min(n, 2))
+            inst = random_instance(rng, fset, n, k, rng.randint(0, 3))
+            g = csp_to_grid(inst, fset, rng.randint(0, k))
+            if q ** (len(g.edges) + k) <= 4096:
+                break
+        got, naive = signature_matrix(g), _naive_signature_matrix(g)
+        assert got == naive
+        for x, y in zip(got.flat(), naive.flat()):  # a whole number is an int
+            whole = not isinstance(y, GaussianRational) and Fraction(y).denominator == 1
+            assert type(x) is (int if whole else type(y))
 
 
 def test_signature_matrix_cap():

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cspiso.algebra import all_tuples, binary_from_rows, gaussian
+from cspiso.algebra import (
+    ConstraintFunction,
+    all_tuples,
+    binary_from_rows,
+    gaussian,
+)
 from cspiso.corpus import random_cfset, random_instance
 from cspiso.instances import CFSet, LabeledInstance, product, unit_instance
 from cspiso.partition import (
@@ -196,3 +201,69 @@ def test_negative_term_cap_is_bad_input():
     with pytest.raises(ValueError, match="term cap"):
         partition_function(fset, inst, cap=-5)
     assert partition_function(fset, inst, cap=4) == 4
+
+
+def _table_entry(rng, kind):
+    """Zeros, and rationals over mixed and negative denominators, also as
+    the parts of Gaussian entries."""
+    if rng.random() < 0.25:
+        return Fraction(0) if kind == "fraction" else 0
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, -4, -6)))
+    return gaussian(Fraction(rng.randint(-2, 2), rng.choice((1, 2, -3))),
+                    Fraction(rng.randint(-2, 2), rng.choice((1, 3, -4))))
+
+
+def _mixed_cfset(rng, q, kinds):
+    functions = tuple(
+        ConstraintFunction(q, arity, tuple(_table_entry(rng, kind) for _ in range(q ** arity)))
+        for arity, kind in zip((1, 2, 1 if q == 4 else 3), kinds)
+    )
+    weights = None
+    if rng.random() < 0.4:
+        weights = tuple(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, -4)))
+                        for _ in range(q))
+    return CFSet(functions, weights)
+
+
+def _assert_direct_type(got, direct):
+    """``direct`` is the kernel's sum over the original tables, which is how
+    ``pinned_partition`` summed before it used integer tables.  The type is
+    the same, except that a whole number is an ``int``, as every scalar
+    ``algebra`` normalizes (the direct sum over Fraction tables gives
+    ``Fraction(k)``)."""
+    whole = type(direct) is Fraction and direct.denominator == 1
+    assert type(got) is (int if whole else type(direct))
+
+
+def test_integer_tables_match_the_naive_oracle():
+    """``pinned_partition`` and ``partition_function`` sum integer tables and
+    divide once; the oracle and the kernel itself sum the original tables."""
+    rng = random.Random(27)
+    for trial in range(300):
+        q = 1 + trial % 4
+        kinds = [rng.choice(("int", "fraction", "gaussian")) for _ in range(3)]
+        if trial % 5 == 0:
+            kinds = ["int"] * 3
+        fset = _mixed_cfset(rng, q, kinds)
+        n = rng.randint(1, 5 if q < 4 else 4)
+        k = rng.randint(0, min(n, 2))
+        inst = random_instance(rng, fset, n, k, rng.randint(0, 4))
+        psi = tuple(rng.randrange(q) for _ in range(k))
+        unlabeled = LabeledInstance(inst.variables, inst.constraints)
+        for labeled, pins, got in ((inst, psi, pinned_partition(fset, inst, psi)),
+                                   (unlabeled, (), partition_function(fset, inst))):
+            order = list(labeled.labels) + list(labeled.unlabeled_variables())
+            position = {v: i for i, v in enumerate(order)}
+            factors = [(fset.functions[j].entries, tuple(position[v] for v in vs))
+                       for j, vs in labeled.constraints]
+            if fset.weights is not None:
+                factors += [(fset.weights, (i,)) for i in range(len(pins), len(order))]
+            values = list(pins) + [0] * (len(order) - len(pins))
+            direct = _sum_product(q, factors, list(values), len(pins))
+            assert got == direct == _naive_sum_product(q, factors, values, len(pins))
+            _assert_direct_type(got, direct)
+            if kinds == ["int"] * 3 and fset.weights is None:
+                assert type(got) is int
