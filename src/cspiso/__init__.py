@@ -49,7 +49,6 @@ from .interpolation import (
     distinguish,
     vandermonde_class_sums,
     well_balanced_extension,
-    witness_catalog,
 )
 from .holant import (
     EQ,

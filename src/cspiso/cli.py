@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from .algebra import format_scalar
 from .holant import signature_matrix
 from .instances import InstanceError
-from .interpolation import (
-    CatalogCapExceeded,
-    DistinguishInconclusive,
-    distinguish,
-)
+from .interpolation import DistinguishInconclusive, distinguish
 from .intertwiners import (
     PermutationGroup,
     gadget_span,
@@ -295,10 +291,10 @@ def main(argv=None) -> int:
         print(f"error: bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except (FormatError, InstanceError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, InstanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TermCapExceeded, CatalogCapExceeded, DistinguishInconclusive) as exc:
+    except (TermCapExceeded, DistinguishInconclusive) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
 

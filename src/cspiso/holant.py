@@ -91,6 +91,8 @@ class Gadget:
     inputs: Tuple[Port, ...] = ()
 
     def __post_init__(self):
+        if self.q < 1:
+            raise GadgetError(f"domain size must be >= 1, got {self.q}")
         object.__setattr__(self, "signatures", tuple(self.signatures))
         object.__setattr__(self, "edges", tuple(
             (tuple(a), tuple(b)) for a, b in self.edges

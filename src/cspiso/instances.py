@@ -81,9 +81,6 @@ class CFSet:
     def weight(self, i: int) -> Scalar:
         return 1 if self.weights is None else self.weights[i]
 
-    def is_unary_only(self) -> bool:
-        return all(f.arity == 1 for f in self.functions)
-
 
 def compatible(fset: CFSet, gset: CFSet) -> bool:
     """Same count and equal-indexed arities (domains may differ)."""

@@ -1,6 +1,7 @@
 """Interpolation machinery: the power-sum class checker, well-balanced pin
-maps, the three witness-instance families, the finite witness catalog, and
-the distinguisher returning an isomorphism or a verified counterexample.
+maps, the three witness-instance families of the first proof with their
+closed-form values, and the distinguisher returning an isomorphism or a
+verified counterexample.
 
 The distinguisher follows the constructive route: contract twins, search the
 contracted sets for isomorphisms (``structure.isomorphisms``) and lift one
@@ -9,9 +10,7 @@ instances for one whose pinned partition values differ (verified exactly
 before returning).  Each set keeps its probe values per pin map on itself;
 the probes come from one stream per (arities, k, q), kept for the life of
 the process as far as any call has read it and shared by every thread under
-one lock.  The literal catalog built from
-the three instance families stays available behind ``witness_catalog``; its
-full form is astronomically large and guarded by a cap.
+one lock.
 """
 
 from __future__ import annotations
@@ -22,26 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Scalar, all_tuples, tuple_to_index
-from .instances import (
-    CFSet,
-    LabeledInstance,
-    PinMap,
-    forget_labels,
-    power,
-    product,
-    require_compatible,
-    unit_instance,
-)
+from .instances import CFSet, LabeledInstance, PinMap, require_compatible
 from .partition import pinned_partition
 from .structure import (
     Permutation,
     TwinContraction,
     _slot_value,
     contract_twins,
-    configuration_index,
     is_isomorphism,
     isomorphisms,
-    twin_classes,
 )
 from .witnesses import probe_stream
 
@@ -63,17 +51,6 @@ class BucketCapacityError(RuntimeError):
     pass
 
 
-class CatalogCapExceeded(RuntimeError):
-    def __init__(self, size: int, cap: int):
-        if size.bit_length() > 64:
-            rendered = f"more than 10^{(size.bit_length() - 1) * 30103 // 100000}"
-        else:
-            rendered = str(size)
-        super().__init__(f"catalog has {rendered} members, cap is {cap}")
-        self.size = size
-        self.cap = cap
-
-
 class DistinguishInconclusive(RuntimeError):
     pass
 
@@ -82,16 +59,12 @@ class DistinguishInconclusive(RuntimeError):
 # Vandermonde class sums
 # ---------------------------------------------------------------------------
 
-def vandermonde_class_sums(
-    a: Sequence[Scalar],
-    b: Sequence[Sequence[Scalar]],
-    exponent_bound: Optional[int] = None,
-):
+def vandermonde_class_sums(a: Sequence[Scalar], b: Sequence[Sequence[Scalar]]):
     """Verify the power-sum premise, then return the row-equality classes
     with their (necessarily zero) coefficient sums.
 
     Premise: ``sum_i a_i prod_j b[i][j]**p_j == 0`` for every exponent tuple
-    with entries below the bound (default ``len(a)``).  On failure raises
+    with entries below ``len(a)``.  On failure raises
     :class:`VandermondePremiseError` with the offending tuple.
     """
     n = len(a)
@@ -100,8 +73,7 @@ def vandermonde_class_sums(
     n_j = len(b[0]) if b else 0
     if any(len(row) != n_j for row in b):
         raise InterpolationError("coefficient table must be |I| x |J|")
-    bound = n if exponent_bound is None else exponent_bound
-    for exps in itertools.product(range(bound), repeat=n_j):
+    for exps in itertools.product(range(n), repeat=n_j):
         total: Scalar = 0
         for i in range(n):
             term = a[i]
@@ -409,121 +381,6 @@ def family_three_value(
 
 
 # ---------------------------------------------------------------------------
-# Witness catalog
-# ---------------------------------------------------------------------------
-
-def _exponent_tuples(fset: CFSet, max_exponent: int) -> Iterator[Mapping]:
-    """All exponent maps over the configuration index with entries below the
-    bound, by increasing total degree."""
-    jc = configuration_index(fset)
-    for total in range(0, (max_exponent - 1) * len(jc) + 1):
-        for combo in itertools.product(range(max_exponent), repeat=len(jc)):
-            if sum(combo) != total:
-                continue
-            yield {key: p for key, p in zip(jc, combo) if p}
-
-
-def catalog_size(fset: CFSet, wb: WellBalancedMap, max_exponent: int, max_power: int) -> int:
-    """Exact member count of the catalog for the given bounds: with
-    ``max_power <= 1`` the base family list, else all bounded products."""
-    jc = len(configuration_index(fset))
-    base = max_exponent ** jc
-    singles = base
-    for fn in fset.functions:
-        singles += base ** fn.arity
-        if fn.arity == 1:
-            singles += wb.total_labels
-        else:
-            singles += wb.total_labels * base ** (fn.arity - 1)
-    return singles if max_power <= 1 else max_power ** singles
-
-
-def witness_catalog(
-    fset: CFSet,
-    phi: Sequence[int],
-    multiplicity: Optional[int] = None,
-    max_exponent: Optional[int] = None,
-    max_power: Optional[int] = None,
-    max_members: int = 10_000,
-) -> List[LabeledInstance]:
-    """The finite witness list: all three-family instances over admissible
-    exponent tuples, closed under bounded product powers, label-forgotten
-    back to the original pin length.
-
-    The untruncated catalog is astronomically large; the exact size is
-    computed first and a :class:`CatalogCapExceeded` reports it when the cap
-    is passed.  Callers must contract twins first.
-    """
-    if len(twin_classes(fset)) != fset.q:
-        raise InterpolationError("catalog construction expects a twin-free set")
-    q = fset.q
-    k = len(phi)
-    max_exp = 2 * q if max_exponent is None else max_exponent
-    if fset.is_unary_only():
-        size = max_exp ** fset.t
-        if size > max_members:
-            raise CatalogCapExceeded(size, max_members)
-        labels = unit_instance(k).labels
-        v = ("v", 1)
-        members = []
-        for p in sorted(
-            itertools.product(range(1, max_exp + 1), repeat=fset.t), key=sum
-        ):
-            constraints = []
-            for j, pj in enumerate(p):
-                constraints.extend([(j, (v,))] * pj)
-            members.append(LabeledInstance(labels + (v,), tuple(constraints), labels))
-        return members
-
-    n = max(fset.arities())
-    wb = well_balanced_extension(phi, q, n, multiplicity)
-    if max_power is None:
-        max_power = 2 * q ** wb.total_labels  # the product-power bound
-    size = catalog_size(fset, wb, max_exp, max(max_power, 1))
-    if size > max_members:
-        raise CatalogCapExceeded(size, max_members)
-
-    # A truncated well-balancing may not fit every exponent tuple; members
-    # beyond its bucket capacity are skipped (the default multiplicity always
-    # accommodates the full exponent range).
-    singles: List[LabeledInstance] = []
-
-    def emit(builder, *args):
-        try:
-            singles.append(builder(*args))
-        except BucketCapacityError:
-            pass
-
-    for exps in _exponent_tuples(fset, max_exp):
-        emit(build_family_one, fset, wb, exps)
-    for anchor, fn in enumerate(fset.functions):
-        for exp_list in itertools.product(
-            list(_exponent_tuples(fset, max_exp)), repeat=fn.arity
-        ):
-            emit(build_family_two, fset, anchor, wb, list(exp_list))
-        for c_label in range(wb.total_labels):
-            if fn.arity == 1:
-                emit(build_family_three, fset, anchor, wb, c_label, [])
-            else:
-                for exp_list in itertools.product(
-                    list(_exponent_tuples(fset, max_exp)), repeat=fn.arity - 1
-                ):
-                    emit(build_family_three, fset, anchor, wb, c_label, list(exp_list))
-
-    members: List[LabeledInstance] = []
-    if max_power <= 1:
-        members = singles
-    else:
-        for powers in itertools.product(range(max_power), repeat=len(singles)):
-            inst = unit_instance(wb.total_labels)
-            for single, h in zip(singles, powers):
-                if h:
-                    inst = product(inst, power(single, h))
-            members.append(inst)
-    return [forget_labels(m, k) for m in members]
-
-
-# ---------------------------------------------------------------------------
 # The distinguisher
 # ---------------------------------------------------------------------------
 
@@ -622,8 +479,9 @@ def distinguish(
     """Return an isomorphism aligning the pin maps, or a concrete instance
     whose pinned partition values differ (computed exactly before returning).
 
-    The set with the larger domain goes first; inputs are swapped (and the
-    returned permutation inverted) otherwise.
+    The set with the larger domain goes first; inputs are swapped
+    otherwise, which sets ``swapped``.  Domains of different sizes admit no
+    isomorphism, so a swapped result always carries a witness.
     """
     require_compatible(fset, gset)
     phi, psi = tuple(phi), tuple(psi)
@@ -633,15 +491,6 @@ def distinguish(
         raise InterpolationError(f"max_probes must be at least 0, got {max_probes}")
     if fset.q < gset.q:
         flipped = distinguish(gset, fset, psi, phi, max_probes)
-        if flipped.sigma is not None:
-            inverse = [0] * len(flipped.sigma)
-            for i, x in enumerate(flipped.sigma):
-                inverse[x] = i
-            return DistinguishResult(
-                sigma=tuple(inverse),
-                twins_adjusted=flipped.twins_adjusted,
-                swapped=True,
-            )
         return DistinguishResult(
             witness=flipped.witness, z_f=flipped.z_g, z_g=flipped.z_f, swapped=True
         )

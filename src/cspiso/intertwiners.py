@@ -19,6 +19,7 @@ from .instances import CFSet, LabeledInstance
 from .linalg import EchelonBasis
 from .partition import pinned_partition
 from .structure import Permutation, automorphisms
+from .witnesses import pli_candidates
 from . import expressions as ex
 
 
@@ -134,8 +135,14 @@ def orbits_of_tuples(group: PermutationGroup, length: int) -> Tuple[Tuple[Tuple[
     return tuple(orbits)
 
 
+def _require_shape(k: int, l: int) -> None:
+    if k < 0 or l < 0:
+        raise IntertwinerError(f"shape ({k}, {l}) must have k, l >= 0")
+
+
 def intertwiner_basis(group: PermutationGroup, k: int, l: int) -> IntertwinerSpace:
     """Orbit-indicator basis of the (k, l) intertwiner space."""
+    _require_shape(k, l)
     q = group.q
     orbits = orbits_of_tuples(group, k + l)
     basis = []
@@ -230,15 +237,14 @@ def gadget_span(
     k: int,
     l: int,
     size_bound: int,
-    max_legs: Optional[int] = None,
     aut_group: Optional[PermutationGroup] = None,
 ) -> SpanResult:
     """Span of the signature matrices realizable from the fundamental
     generators with at most ``size_bound`` leaves.
 
     Enumeration is dynamic programming over leaf counts with exact-matrix
-    deduplication; intermediate shapes are capped at ``max_legs`` total
-    dangling edges.  Growth stops early only once the span dimension
+    deduplication; intermediate shapes are capped at ``max(k + l + 2, 4)``
+    total dangling edges.  Growth stops early only once the span dimension
     matches the orbit-basis dimension of the automorphism group; a plateau
     proves nothing (dimensions can hold still for sizes and then grow), so
     otherwise every size up to the bound is built.  ``size_bound`` must be
@@ -246,9 +252,10 @@ def gadget_span(
     """
     if size_bound < 1:
         raise IntertwinerError(f"size bound must be at least 1, got {size_bound}")
+    _require_shape(k, l)
     _require_conjugate_closed(fset)
     q = fset.q
-    max_legs = max(k + l + 2, 4) if max_legs is None else max_legs
+    legs_cap = max(k + l + 2, 4)
     group = aut_group if aut_group is not None else PermutationGroup.from_elements(
         q, automorphisms(fset)
     )
@@ -266,7 +273,7 @@ def gadget_span(
     seen: Set[Tuple[int, int, Matrix]] = set()
 
     def register(size: int, shape: Tuple[int, int], mat: Matrix) -> None:
-        if shape[0] + shape[1] > max_legs:
+        if shape[0] + shape[1] > legs_cap:
             return
         key = (shape[0], shape[1], mat)
         if key in seen:
@@ -298,7 +305,7 @@ def gadget_span(
                         for m1 in mats1:
                             for m2 in mats2:
                                 register(size, (k1, l2), m1.mul(m2))
-                    if k1 + k2 + l1 + l2 <= max_legs:
+                    if k1 + k2 + l1 + l2 <= legs_cap:
                         for m1 in mats1:
                             for m2 in mats2:
                                 register(size, (k1 + k2, l1 + l2), m1.kron(m2))
@@ -347,8 +354,6 @@ def witness_sigma(
     if same_orbit_via_intertwiners(phi, psi, space):
         sigma = next(s for s in auts if _apply(s, phi) == psi)
         return WitnessSigmaResult(sigma=sigma)
-    from .witnesses import pli_candidates
-
     count = 0
     for inst in pli_candidates(fset.arities(), k):
         count += 1

@@ -26,6 +26,12 @@ class FormatError(ValueError):
         self.path = path
 
 
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"expected a list, got {type(value).__name__}", path)
+    return value
+
+
 def function_from_obj(obj, path: str = "$") -> ConstraintFunction:
     try:
         q = int(obj["q"])
@@ -34,7 +40,7 @@ def function_from_obj(obj, path: str = "$") -> ConstraintFunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad constraint function object: {exc}", path)
     try:
-        entries = tuple(parse_scalar(e) for e in raw)
+        entries = tuple(parse_scalar(e) for e in _as_list(raw, path + ".entries"))
         return ConstraintFunction(q, arity, entries)
     except AlgebraError as exc:
         raise FormatError(str(exc), path + ".entries")
@@ -49,16 +55,18 @@ def function_to_obj(fn: ConstraintFunction) -> dict:
 
 
 def cfset_from_obj(obj, path: str = "$") -> CFSet:
-    if "functions" not in obj:
+    if not isinstance(obj, dict) or "functions" not in obj:
         raise FormatError("missing 'functions'", path)
     functions = tuple(
         function_from_obj(f, f"{path}.functions[{i}]")
-        for i, f in enumerate(obj["functions"])
+        for i, f in enumerate(_as_list(obj["functions"], path + ".functions"))
     )
     weights = None
     if obj.get("weights") is not None:
         try:
-            weights = tuple(parse_scalar(w) for w in obj["weights"])
+            weights = tuple(
+                parse_scalar(w) for w in _as_list(obj["weights"], path + ".weights")
+            )
         except AlgebraError as exc:
             raise FormatError(str(exc), path + ".weights")
     try:
@@ -79,12 +87,13 @@ def instance_from_obj(obj, fset: Optional[CFSet] = None, path: str = "$") -> Lab
         variables = tuple(str(v) for v in obj["variables"])
         labels = tuple(str(v) for v in obj.get("labels", []))
         raw_constraints = obj.get("constraints", [])
-    except (KeyError, TypeError) as exc:
+        k = int(obj.get("k", len(labels)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance object: {exc}", path)
-    if "k" in obj and int(obj["k"]) != len(labels):
+    if k != len(labels):
         raise FormatError(f"k={obj['k']} but {len(labels)} labels", path)
     constraints = []
-    for i, c in enumerate(raw_constraints):
+    for i, c in enumerate(_as_list(raw_constraints, path + ".constraints")):
         where = f"{path}.constraints[{i}]"
         try:
             j = int(c["f"]) - 1
@@ -140,7 +149,7 @@ def gadget_from_obj(obj, fset: Optional[CFSet] = None, path: str = "$") -> Gadge
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad gadget object: {exc}", path)
     signatures = []
-    for i, v in enumerate(obj.get("vertices", [])):
+    for i, v in enumerate(_as_list(obj.get("vertices", []), path + ".vertices")):
         where = f"{path}.vertices[{i}]"
         sig = v.get("sig") if isinstance(v, dict) else v
         if sig == "eq":
@@ -148,7 +157,10 @@ def gadget_from_obj(obj, fset: Optional[CFSet] = None, path: str = "$") -> Gadge
         elif isinstance(sig, dict) and "f" in sig:
             if fset is None:
                 raise FormatError("function reference needs a --functions file", where)
-            j = int(sig["f"]) - 1
+            try:
+                j = int(sig["f"]) - 1
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"bad function reference: {exc}", where)
             if not 0 <= j < fset.t:
                 raise FormatError(f"function index {j + 1} out of range", where)
             signatures.append(fset.functions[j])

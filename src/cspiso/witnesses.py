@@ -16,6 +16,10 @@ from typing import Iterator, List, Sequence, Set, Tuple
 from .algebra import union_find
 from .instances import LabeledInstance, canonical_encoding, is_simple
 
+# A (free variables, constraints) block with more raw candidates than this
+# is skipped by both streams.
+_MAX_BLOCK = 200_000
+
 
 def _labels(k: int) -> Tuple:
     return tuple(("l", i + 1) for i in range(k))
@@ -100,7 +104,6 @@ def simple_candidates(
     k: int,
     max_free: int = 5,
     max_constraints: int = 6,
-    max_block: int = 200_000,
 ) -> Iterator[LabeledInstance]:
     """Simple instances by increasing (free variables + constraints)."""
     yield isolated_variable_instance(k)
@@ -109,7 +112,7 @@ def simple_candidates(
             m = size - c
             if not 1 <= m <= max_free:
                 continue
-            if _block_too_large(arities, k, m, c, False, max_block):
+            if _block_too_large(arities, k, m, c, False):
                 continue
             yield from _emit_block(arities, k, m, c, False, False)
 
@@ -119,7 +122,6 @@ def pli_candidates(
     k: int,
     max_free: int = 3,
     max_constraints: int = 6,
-    max_block: int = 200_000,
 ) -> Iterator[LabeledInstance]:
     """General instances: repeats and duplicate constraints allowed; for
     k > 0 label-only constraints are included (that is where pins show)."""
@@ -131,17 +133,17 @@ def pli_candidates(
                 continue
             if m == 0 and k == 0:
                 continue
-            if _block_too_large(arities, k, m, c, True, max_block):
+            if _block_too_large(arities, k, m, c, True):
                 continue
             yield from _emit_block(arities, k, m, c, True, k > 0)
 
 
-def _block_too_large(arities, k, m, c, allow_repeats, max_block) -> bool:
+def _block_too_large(arities, k, m, c, allow_repeats) -> bool:
     n_vars = k + m
     pool = 0
     for n in arities:
         pool += n_vars ** n if allow_repeats else _falling(n_vars, n)
-    return _choose(pool + (c - 1 if allow_repeats else 0), c) > max_block
+    return _choose(pool + (c - 1 if allow_repeats else 0), c) > _MAX_BLOCK
 
 
 def _falling(n: int, r: int) -> int:

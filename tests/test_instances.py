@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,11 +13,13 @@ from cspiso.instances import (
     LabeledInstance,
     forget_labels,
     is_simple,
+    power,
     product,
     replace_functions,
     same_up_to_renaming,
     unit_instance,
 )
+from cspiso.partition import pinned_partition
 from cspiso.witnesses import pli_candidates, probe_stream
 
 
@@ -63,6 +66,25 @@ def test_product_merges_exactly_the_labels():
     (label,) = merged.labels
     occurrences = [vs for _, vs in merged.constraints]
     assert sorted(vs.index(label) for vs in occurrences) == [0, 1]
+
+
+def test_power_multiplies_pinned_values():
+    # Z^psi is multiplicative over the labeled product, so K^h evaluates to
+    # the h-th power of K's value; K^0 is the unit instance.  Entries are
+    # nonzero so that the values are too.
+    rng = random.Random(13)
+    for _ in range(12):
+        q = rng.randint(1, 3)
+        fset = random_cfset(rng, q, 2, entry_pool=(1, 2, -1, Fraction(1, 2)), weighted=True)
+        k = rng.randint(0, 2)
+        inst = random_instance(rng, fset, k + rng.randint(1, 2), k)
+        psi = tuple(rng.randrange(q) for _ in range(k))
+        z = pinned_partition(fset, inst, psi)
+        assert power(inst, 0) == unit_instance(k)
+        for h in range(1, 4):
+            assert pinned_partition(fset, power(inst, h), psi) == z ** h
+    with pytest.raises(InstanceError):
+        power(unit_instance(1), -1)
 
 
 def test_is_simple():

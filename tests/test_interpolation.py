@@ -16,15 +16,20 @@ from cspiso.algebra import (
     unary_function,
 )
 from cspiso.corpus import random_cfset, random_rational
-from cspiso.instances import CFSet, is_simple
+from cspiso.instances import CFSet, forget_labels, is_simple
 from cspiso.linalg import rank
 from cspiso.partition import pinned_partition
-from cspiso.structure import automorphisms, contract_twins, find_isomorphisms, is_isomorphism
+from cspiso.structure import (
+    automorphisms,
+    configuration_index,
+    contract_twins,
+    find_isomorphisms,
+    is_isomorphism,
+)
 from cspiso.intertwiners import gadget_span, witness_sigma
 from cspiso import interpolation
 from cspiso.interpolation import (
     BucketCapacityError,
-    CatalogCapExceeded,
     InterpolationError,
     VandermondePremiseError,
     bucket_structure,
@@ -39,7 +44,6 @@ from cspiso.interpolation import (
     required_multiplicity,
     vandermonde_class_sums,
     well_balanced_extension,
-    witness_catalog,
 )
 
 EQ2 = CFSet((equality_function(2, 2),))
@@ -259,60 +263,20 @@ def test_bucket_capacity_error():
 
 
 # ---------------------------------------------------------------------------
-# Witness catalog
+# The first proof's families as witnesses
 # ---------------------------------------------------------------------------
 
-def test_catalog_unary_sets_are_power_instances():
-    fset = CFSet((unary_function((0, 2)), unary_function((1, 1))))
-    catalog = witness_catalog(fset, ())
-    assert catalog
-    for inst in catalog:
-        assert len(inst.unlabeled_variables()) == 1
-        assert all(len(vs) == 1 for _, vs in inst.constraints)
-    # multiplicity vectors cover [1, 2q]^t
-    sizes = {tuple(sorted(j for j, _ in inst.constraints)) for inst in catalog}
-    assert len(sizes) == (2 * fset.q) ** fset.t
-
-
-def test_catalog_nonempty_and_capped():
-    catalog = witness_catalog(
-        EQ2, (), multiplicity=1, max_exponent=2, max_power=1, max_members=10_000
-    )
-    assert catalog
-    # the full catalog (bounded product powers of every family instance) is
-    # astronomically large and must refuse with its exact size
-    with pytest.raises(CatalogCapExceeded) as err:
-        witness_catalog(EQ2, ())
-    assert err.value.size > 10 ** 100
-
-
-def test_catalog_with_products():
-    catalog = witness_catalog(
-        CFSet((unary_function((1, 2)), equality_function(2, 2))),
-        (),
-        multiplicity=1,
-        max_exponent=1,
-        max_power=2,
-        max_members=10_000,
-    )
-    assert catalog
-    assert all(inst.k == 0 for inst in catalog)
-
-
-def test_catalog_requires_twin_free():
-    allones = CFSet((constant_function(2, 2),))
-    with pytest.raises(InterpolationError):
-        witness_catalog(allones, ())
-
-
-def test_truncated_catalog_contains_a_distinguishing_member():
-    catalog = witness_catalog(
-        EQ2, (), multiplicity=1, max_exponent=2, max_power=1, max_members=10_000
-    )
+def test_family_one_members_distinguish_equality_from_diag():
+    """EQ2 and DIAG12 are not isomorphic, so some product of the proof's
+    family instances separates them; a single family-one member with all
+    labels forgotten already does."""
+    wb = well_balanced_extension((), 2, 2, multiplicity=1)
+    jc = configuration_index(EQ2)
     found = False
-    for inst in catalog:
-        if len(inst.variables) > 8:
-            continue
+    for powers in itertools.product(range(2), repeat=len(jc)):
+        exps = {key: p for key, p in zip(jc, powers) if p}
+        inst = forget_labels(build_family_one(EQ2, wb, exps), 0)
+        assert len(inst.variables) <= 8
         if pinned_partition(EQ2, inst, ()) != pinned_partition(DIAG12, inst, ()):
             found = True
             break

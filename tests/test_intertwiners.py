@@ -186,6 +186,16 @@ def test_gadget_span_rejects_size_bound_below_one():
     assert gadget_span(fset, 1, 1, 1).dimension_by_size
 
 
+def test_negative_shapes_are_rejected():
+    fset = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
+    group = PermutationGroup.from_elements(2, automorphisms(fset))
+    for k, l in ((-1, 0), (1, -2)):
+        with pytest.raises(IntertwinerError, match="k, l >= 0"):
+            intertwiner_basis(group, k, l)
+        with pytest.raises(IntertwinerError, match="k, l >= 0"):
+            gadget_span(fset, k, l, 2)
+
+
 def test_witness_sigma_identity_and_swap():
     fset = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
     result = witness_sigma(fset, (0,), (0,))

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +263,39 @@ def test_cli_bad_cap_in_environment_is_an_input_error(tmp_path, capsys, monkeypa
     monkeypatch.setenv("CSPISO_TERM_CAP", "many")
     assert main(["twins", "--f", f]) == 2
     assert "many" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["twins", "--f", "{bad}"], 5),
+    (["twins", "--f", "{bad}"], {"functions": 5}),
+    (["twins", "--f", "{bad}"], {"functions": [{"q": 2, "arity": 1, "entries": 5}]}),
+    (["twins", "--f", "{bad}"],
+     {"functions": [{"q": 2, "arity": 1, "entries": ["1", "2"]}], "weights": 3}),
+    (["sigmat", "--gadget", "{bad}"], {"q": 2, "vertices": 5}),
+    (["sigmat", "--gadget", "{bad}", "--functions", "{eq}"],
+     {"q": 2, "vertices": [{"sig": {"f": [1]}}]}),
+    # algebra.all_tuples never ends for q = 0, so Gadget has to refuse it
+    (["sigmat", "--gadget", "{bad}"], {"q": 0, "vertices": ["eq"], "outputs": [[0, 0]]}),
+    (["zeval", "--functions", "{eq}", "--instance", "{bad}"],
+     {"variables": ["a"], "constraints": 5}),
+    (["zeval", "--functions", "{eq}", "--instance", "{bad}"], {"variables": ["a"], "k": [1]}),
+    (["intertwiners", "--f", "{eq}", "--k", "-1", "--l", "0"], None),
+    (["intertwiners", "--f", "{eq}", "--k", "1", "--l", "-2"], None),
+    (["twins", "--f", "{dir}"], None),
+], ids=["set-not-an-object", "functions", "entries", "weights", "vertices",
+        "function-reference", "gadget-domain-0", "constraints", "instance-k",
+        "negative-k", "negative-l", "directory"])
+def test_cli_malformed_input_exits_2_without_a_traceback(tmp_path, argv, bad):
+    files = {"eq": _write(tmp_path, "eq.json", EQ_SET_OBJ),
+             "bad": _write(tmp_path, "bad.json", bad), "dir": str(tmp_path)}
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "cspiso.cli", *(a.format(**files) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_selftest(capsys):
