@@ -263,9 +263,12 @@ def tuple_to_index(xs: Sequence[int], q: int) -> int:
 
 
 def all_tuples(q: int, n: int):
-    """All of ``[q]^n`` in lexicographic (row-major) order."""
+    """All of ``[q]^n`` in lexicographic (row-major) order; none for
+    ``q < 1 <= n``, where ``[q]^n`` is empty."""
     if n == 0:
         yield ()
+        return
+    if q < 1:
         return
     cur = [0] * n
     while True:
@@ -435,10 +438,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((0,) * cols for _ in range(rows)))
-
     def __getitem__(self, rc):
         r, c = rc
         return self.data[r][c]
@@ -476,16 +475,6 @@ class Matrix:
             tuple(conjugate_scalar(self.data[r][c]) for r in range(self.rows))
             for c in range(self.cols)
         ))
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AlgebraError("shape mismatch")
-        return Matrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
-        ))
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.data))
 
     def flat(self) -> Tuple[Scalar, ...]:
         return tuple(x for row in self.data for x in row)

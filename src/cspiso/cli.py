@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
@@ -49,7 +48,6 @@ class RunConfig:
     max_probes: int = 4000
     span_bound: int = 6
     output_format: str = "text"
-    seed: int = 0
 
 
 def _env_int(name: str, default: int) -> int:
@@ -200,12 +198,13 @@ def _cmd_intertwiners(args, config: RunConfig) -> int:
 
 
 def _cmd_selftest(args, config: RunConfig) -> int:
-    rng = random.Random(config.seed)
-    report = selftest_mod.run(rng)
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in report]
-    ok_all = all(ok for _, ok in report)
-    lines.append(f"{sum(ok for _, ok in report)}/{len(report)} suites passed")
-    _emit(config, {"results": dict(report), "ok": ok_all}, lines)
+    report = [(name, not failures, detail) for name, failures, detail in selftest_mod.run()]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
+             for name, ok, detail in report]
+    passed = sum(ok for _, ok, _ in report)
+    lines.append(f"{passed}/{len(report)} suites passed")
+    ok_all = passed == len(report)
+    _emit(config, {"results": {name: ok for name, ok, _ in report}, "ok": ok_all}, lines)
     return 0 if ok_all else 1
 
 
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--term-cap", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeval", help="evaluate a partition function")
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--span-bound", type=int, default=None)
 
-    sub.add_parser("selftest", help="run the invariant suites")
+    sub.add_parser("selftest", help="run acceptance requirements 2-11")
     return parser
 
 
@@ -284,7 +282,6 @@ def main(argv=None) -> int:
             max_probes=_env_int("CSPISO_MAX_PROBES", 4000),
             span_bound=_env_int("CSPISO_SPAN_BOUND", 6),
             output_format=args.format,
-            seed=args.seed,
         )
         return _COMMANDS[args.command](args, config)
     except json.JSONDecodeError as exc:

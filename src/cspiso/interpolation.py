@@ -281,16 +281,19 @@ def build_family_one(fset: CFSet, wb: WellBalancedMap, exponents: Mapping) -> La
     return LabeledInstance(labels + (center,), tuple(constraints), labels)
 
 
+def _center_value(fset: CFSet, exponents: Mapping, i: int) -> Scalar:
+    """What a claw center at ``i`` contributes: its weight times every
+    claw slot's value to the slot's exponent."""
+    term: Scalar = fset.weight(i)
+    for (j, x, r), p in exponents.items():
+        if p:
+            term = term * _slot_value(fset.functions[j], tuple(x), r, i) ** p
+    return term
+
+
 def family_one_value(fset: CFSet, exponents: Mapping) -> Scalar:
     """The closed form the pinned partition value must equal."""
-    total: Scalar = 0
-    for i in range(fset.q):
-        term: Scalar = fset.weight(i)
-        for (j, x, r), p in exponents.items():
-            if p:
-                term = term * _slot_value(fset.functions[j], tuple(x), r, i) ** p
-        total = total + term
-    return total
+    return sum(_center_value(fset, exponents, i) for i in range(fset.q))
 
 
 def build_family_two(
@@ -319,10 +322,7 @@ def family_two_value(fset: CFSet, anchor: int, exponent_list: Sequence[Mapping])
         if term == 0:
             continue
         for h, i in enumerate(assignment):
-            term = term * fset.weight(i)
-            for (j, x, r), p in exponent_list[h].items():
-                if p:
-                    term = term * _slot_value(fset.functions[j], tuple(x), r, i) ** p
+            term = term * _center_value(fset, exponent_list[h], i)
         total = total + term
     return total
 
@@ -372,10 +372,7 @@ def family_three_value(
         if term == 0:
             continue
         for h, i in enumerate(assignment):
-            term = term * fset.weight(i)
-            for (j, x, r), p in exponent_list[h].items():
-                if p:
-                    term = term * _slot_value(fset.functions[j], tuple(x), r, i) ** p
+            term = term * _center_value(fset, exponent_list[h], i)
         total = total + term
     return total
 

@@ -39,6 +39,8 @@ class PermutationGroup:
     generators: Tuple[Permutation, ...]
 
     def __post_init__(self):
+        if self.q < 1:
+            raise IntertwinerError(f"domain size must be >= 1, got {self.q}")
         gens = tuple(tuple(g) for g in self.generators)
         for g in gens:
             if sorted(g) != list(range(self.q)):

@@ -41,9 +41,12 @@ def function_from_obj(obj, path: str = "$") -> ConstraintFunction:
         raise FormatError(f"bad constraint function object: {exc}", path)
     try:
         entries = tuple(parse_scalar(e) for e in _as_list(raw, path + ".entries"))
-        return ConstraintFunction(q, arity, entries)
     except AlgebraError as exc:
         raise FormatError(str(exc), path + ".entries")
+    try:
+        return ConstraintFunction(q, arity, entries)
+    except AlgebraError as exc:
+        raise FormatError(str(exc), path)
 
 
 def function_to_obj(fn: ConstraintFunction) -> dict:

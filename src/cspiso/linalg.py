@@ -29,9 +29,6 @@ class EchelonBasis:
                         v[idx] = v[idx] - c * row[idx]
         return v
 
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
-
     def insert(self, vector: Sequence[Scalar]) -> bool:
         """Add the vector to the span; returns True if it was independent."""
         v = self.reduce(vector)

@@ -11,6 +11,7 @@ witnesses and all-unary sets require.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from .algebra import union_find
@@ -19,6 +20,11 @@ from .instances import LabeledInstance, canonical_encoding, is_simple
 # A (free variables, constraints) block with more raw candidates than this
 # is skipped by both streams.
 _MAX_BLOCK = 200_000
+# The most free variables and constraints of a simple candidate, and the
+# most free variables of a general one.
+_SIMPLE_MAX_FREE = 5
+_SIMPLE_MAX_CONSTRAINTS = 6
+_PLI_MAX_FREE = 3
 
 
 def _labels(k: int) -> Tuple:
@@ -99,18 +105,13 @@ def _emit_block(
     return [inst for _, inst in out]
 
 
-def simple_candidates(
-    arities: Sequence[int],
-    k: int,
-    max_free: int = 5,
-    max_constraints: int = 6,
-) -> Iterator[LabeledInstance]:
+def simple_candidates(arities: Sequence[int], k: int) -> Iterator[LabeledInstance]:
     """Simple instances by increasing (free variables + constraints)."""
     yield isolated_variable_instance(k)
-    for size in range(2, max_free + max_constraints + 1):
-        for c in range(1, min(size - 1, max_constraints) + 1):
+    for size in range(2, _SIMPLE_MAX_FREE + _SIMPLE_MAX_CONSTRAINTS + 1):
+        for c in range(1, min(size - 1, _SIMPLE_MAX_CONSTRAINTS) + 1):
             m = size - c
-            if not 1 <= m <= max_free:
+            if not 1 <= m <= _SIMPLE_MAX_FREE:
                 continue
             if _block_too_large(arities, k, m, c, False):
                 continue
@@ -120,16 +121,15 @@ def simple_candidates(
 def pli_candidates(
     arities: Sequence[int],
     k: int,
-    max_free: int = 3,
     max_constraints: int = 6,
 ) -> Iterator[LabeledInstance]:
     """General instances: repeats and duplicate constraints allowed; for
     k > 0 label-only constraints are included (that is where pins show)."""
     yield isolated_variable_instance(k)
-    for size in range(1, max_free + max_constraints + 1):
+    for size in range(1, _PLI_MAX_FREE + max_constraints + 1):
         for c in range(1, min(size, max_constraints) + 1):
             m = size - c
-            if not 0 <= m <= max_free:
+            if not 0 <= m <= _PLI_MAX_FREE:
                 continue
             if m == 0 and k == 0:
                 continue
@@ -142,24 +142,8 @@ def _block_too_large(arities, k, m, c, allow_repeats) -> bool:
     n_vars = k + m
     pool = 0
     for n in arities:
-        pool += n_vars ** n if allow_repeats else _falling(n_vars, n)
-    return _choose(pool + (c - 1 if allow_repeats else 0), c) > _MAX_BLOCK
-
-
-def _falling(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= max(n - i, 0)
-    return out
-
-
-def _choose(n: int, r: int) -> int:
-    if r < 0 or n < r:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
+        pool += n_vars ** n if allow_repeats else math.perm(n_vars, n)
+    return math.comb(pool + (c - 1 if allow_repeats else 0), c) > _MAX_BLOCK
 
 
 def unary_subset_instances(t: int, k: int) -> List[LabeledInstance]:

@@ -1,7 +1,9 @@
 """Acceptance suite.
 
 Each numbered requirement below runs at its stated scale, exactly (no
-tolerances anywhere), and prints one PASS/FAIL line.  Requirement 1 sweeps
+tolerances anywhere), and prints one PASS/FAIL line.  Requirements 2-11 are
+the checks of ``cspiso.selftest``, which ``cspiso selftest`` runs too, at the
+same size.  Requirement 1 sweeps
 the full corpus of compatible function-set pairs with q <= 2, t <= 2,
 arities <= 2 and entries in {0, 1, 2}; it takes several minutes and uses
 both cores.  Set CSPISO_C1_LIMIT to subsample during development (the
@@ -16,79 +18,22 @@ witness exists.  The full sweep reports 60 such non-simple witnesses, all
 60 certified.  See tests below for the exact accounting.
 """
 
+import dataclasses
 import itertools
 import math
 import multiprocessing as mp
 import os
-import random
 from fractions import Fraction
 
 import pytest
 
-from cspiso.algebra import (
-    ConstraintFunction,
-    Matrix,
-    all_tuples,
-    binary_from_rows,
-    equality_function,
-    flatten,
-    tuple_to_index,
-)
-from cspiso.corpus import (
-    random_bipartite_gadget,
-    random_cfset,
-    random_function,
-    random_gadget,
-    random_instance,
-    random_rational,
-)
-from cspiso.expressions import decompose, evaluate_expression
-from cspiso.holant import (
-    EQ,
-    Gadget,
-    adjoint,
-    compose,
-    crossing_gadget,
-    csp_to_grid,
-    holant_value,
-    signature_matrix,
-    tensor,
-)
-from cspiso.instances import (
-    CFSet,
-    forget_labels,
-    is_simple,
-    product,
-    replace_functions,
-)
-from cspiso.interpolation import (
-    VandermondePremiseError,
-    distinguish,
-    vandermonde_class_sums,
-)
-from cspiso.intertwiners import (
-    PermutationGroup,
-    WitnessSearchExhausted,
-    all_subgroups,
-    gadget_span,
-    intertwiner_basis,
-    is_intertwiner,
-    orbits_of_tuples,
-    same_orbit,
-    same_orbit_via_intertwiners,
-    witness_sigma,
-)
-from cspiso.partition import partition_function, pinned_partition
-from cspiso.structure import (
-    automorphisms,
-    augment_universal,
-    contract_twins,
-    direct_sum_sets,
-    find_isomorphisms,
-    instance_connected,
-    restrict_instance,
-    twin_classes,
-)
+from cspiso import selftest
+from cspiso.algebra import ConstraintFunction, binary_from_rows, equality_function
+from cspiso.instances import CFSet, is_simple, replace_functions
+from cspiso.interpolation import distinguish
+from cspiso.partition import pinned_partition
+from cspiso.selftest import REQUIREMENTS
+from cspiso.structure import find_isomorphisms
 
 ENTRY_POOL = (0, 1, 2)
 SIGNATURES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -363,321 +308,83 @@ def test_1_witness_simplicity_fixed_pairs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# 2. Pinned multiplicativity
+# 2-11. The seeded invariants, one check each in ``cspiso.selftest``
 # ---------------------------------------------------------------------------
 
-def test_2_pinned_multiplicativity():
-    rng = random.Random(1002)
-    failures = 0
-    for _ in range(500):
-        q = rng.randint(1, 3)
-        k = rng.randint(0, 2)
-        fset = random_cfset(rng, q, rng.randint(1, 2), weighted=rng.random() < 0.4,
-                            positive_weights=True)
-        k1 = random_instance(rng, fset, rng.randint(max(k, 1), 4), k)
-        k2 = random_instance(rng, fset, rng.randint(max(k, 1), 4), k)
-        glued = product(k1, k2)
-        for psi in all_tuples(q, k):
-            lhs = pinned_partition(fset, glued, psi)
-            rhs = pinned_partition(fset, k1, psi) * pinned_partition(fset, k2, psi)
-            if lhs != rhs:
-                failures += 1
-    _report("2 pinned multiplicativity", failures == 0, "500 pairs, all pins")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 3. Twin contraction
-# ---------------------------------------------------------------------------
-
-def test_3_twin_contraction():
-    rng = random.Random(1003)
-    failures = 0
-    for _ in range(200):
-        q = rng.randint(1, 3)
-        fset = random_cfset(rng, q, rng.randint(1, 2), weighted=True,
-                            positive_weights=True)
-        contraction = contract_twins(fset)
-        if len(twin_classes(contraction.contracted)) != contraction.contracted.q:
-            failures += 1
-        inst = random_instance(rng, fset, rng.randint(1, 4))
-        replaced = replace_functions(inst, fset, contraction.contracted)
-        if partition_function(contraction.contracted, replaced) != partition_function(fset, inst):
-            failures += 1
-    _report("3 twin contraction", failures == 0, "200 weighted sets")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 4. Gadget functoriality
-# ---------------------------------------------------------------------------
-
-def test_4_gadget_functoriality():
-    rng = random.Random(1004)
-    failures = 0
-    for _ in range(300):
-        q = rng.randint(2, 3)
-        mid = rng.randint(0, 2)
-        g1 = random_gadget(rng, q, rng.randint(0, 2), mid,
-                           max_internal_edges=2, max_vertices=3)
-        g2 = random_gadget(rng, q, mid, rng.randint(0, 2),
-                           max_internal_edges=2, max_vertices=3)
-        t1, t2 = signature_matrix(g1), signature_matrix(g2)
-        if signature_matrix(compose(g1, g2)) != t1.mul(t2):
-            failures += 1
-        if signature_matrix(tensor(g1, g2)) != t1.kron(t2):
-            failures += 1
-        if signature_matrix(adjoint(g1)) != t1.conjugate_transpose():
-            failures += 1
-    _report("4 gadget functoriality", failures == 0, "300 composable pairs")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 5. Generator decomposition
-# ---------------------------------------------------------------------------
-
-def test_5_generator_decomposition():
-    rng = random.Random(1005)
-    failures = 0
-    for index in range(100):
-        q = 2 if index % 5 else 3
-        fset = random_cfset(rng, q, rng.randint(1, 2), max_arity=2)
-        gadget = random_bipartite_gadget(
-            rng, fset,
-            n_eq=rng.randint(1, 3),
-            n_constraints=rng.randint(0, 3 if q == 2 else 2),
-            n_outputs=rng.randint(0, 2),
-            n_inputs=rng.randint(0, 2 if q == 2 else 1),
-        )
-        expr = decompose(gadget, fset)
-        if evaluate_expression(expr, q, fset.functions) != signature_matrix(gadget):
-            failures += 1
-
-    # the illustrated 5-vertex, 3-output/2-input shape
-    ternary = random_function(rng, 2, 3)
-    binary = random_function(rng, 2, 2)
-    fset = CFSet((ternary, binary))
-    gadget = Gadget(
-        2,
-        (EQ, EQ, EQ, ternary, binary),
-        (((1, 0), (4, 0)), ((0, 0), (4, 1)), ((2, 0), (3, 0)),
-         ((0, 1), (3, 1)), ((1, 1), (3, 2))),
-        outputs=((1, 2), (0, 2), (1, 3)),
-        inputs=((2, 1), (2, 2)),
-    )
-    expr = decompose(gadget, fset)
-    if evaluate_expression(expr, 2, fset.functions) != signature_matrix(gadget):
-        failures += 1
-    _report("5 generator decomposition", failures == 0, "100 gadgets + figure shape")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 6. #CSP <-> Holant bridge
-# ---------------------------------------------------------------------------
-
-def test_6_holant_bridge():
-    rng = random.Random(1006)
-    failures = 0
-    for _ in range(200):
-        q = rng.randint(1, 3)
-        fset = random_cfset(rng, q, rng.randint(1, 2))
-        total = rng.randint(0, 3)
-        inst = random_instance(rng, fset, rng.randint(max(total, 1), 4), total)
-        closed = forget_labels(inst, 0)
-        if holant_value(csp_to_grid(closed, fset)) != partition_function(fset, inst):
-            failures += 1
-            continue
-        n_out = rng.randint(0, total)
-        matrix = signature_matrix(csp_to_grid(inst, fset, n_out))
-        for xs in all_tuples(q, n_out):
-            for ys in all_tuples(q, total - n_out):
-                expected = pinned_partition(fset, inst, xs + ys)
-                if matrix.data[tuple_to_index(xs, q)][tuple_to_index(ys, q)] != expected:
-                    failures += 1
-    _report("6 #CSP-Holant bridge", failures == 0, "200 instances, all pinnings")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 7. Intertwiners over every subgroup of S3
-# ---------------------------------------------------------------------------
-
-def test_7_intertwiner_orbit_bases():
-    failures = []
-    crossing = signature_matrix(crossing_gadget(3, (1, 0)))
-    if crossing == Matrix.identity(9):
-        failures.append(("S22 is the identity",))
-    for group in all_subgroups(3):
-        for k in range(4):
-            for l in range(4 - k):
-                space = intertwiner_basis(group, k, l)
-                if not all(is_intertwiner(m, group, k, l) for m in space.basis):
-                    failures.append(("membership", group.generators, k, l))
-                if space.dimension != len(orbits_of_tuples(group, k + l)):
-                    failures.append(("dimension", group.generators, k, l))
-        for k in (1, 2, 3):
-            space = intertwiner_basis(group, k, 0)
-            for xs in all_tuples(3, k):
-                for ys in all_tuples(3, k):
-                    if same_orbit(xs, ys, group) != same_orbit_via_intertwiners(xs, ys, space):
-                        failures.append(("orbit-query", group.generators, xs, ys))
-        if not is_intertwiner(flatten(equality_function(3, 2), 1, 1), group, 1, 1):
-            failures.append(("E11", group.generators))
-        if not is_intertwiner(flatten(equality_function(3, 2), 2, 0), group, 2, 0):
-            failures.append(("E20", group.generators))
-        if not is_intertwiner(crossing, group, 2, 2):
-            failures.append(("S22", group.generators))
-    _report("7 intertwiner spaces over subgroups of S3", not failures)
+def _acceptance(check):
+    name = next(name for name, c in REQUIREMENTS if c is check)
+    failures, detail = check()
+    _report(name, not failures, detail)
     assert not failures, failures[:5]
 
 
-# ---------------------------------------------------------------------------
-# 8. Gadget span containment and saturation
-# ---------------------------------------------------------------------------
+def test_2_pinned_multiplicativity():
+    _acceptance(selftest.pinned_multiplicativity)
+
+
+def test_3_twin_contraction():
+    _acceptance(selftest.twin_contraction)
+
+
+def test_4_gadget_functoriality():
+    _acceptance(selftest.gadget_functoriality)
+
+
+def test_5_generator_decomposition():
+    _acceptance(selftest.generator_decomposition)
+
+
+def test_6_holant_bridge():
+    _acceptance(selftest.holant_bridge)
+
+
+def test_7_intertwiner_orbit_bases():
+    _acceptance(selftest.intertwiner_orbit_bases)
+
 
 def test_8_gadget_span():
-    rng = random.Random(1008)
-    failures = []
-    for index in range(20):
-        fset = random_cfset(rng, 2, rng.randint(1, 2), max_arity=2)
-        group = PermutationGroup.from_elements(2, automorphisms(fset))
-        for (k, l) in ((1, 0), (1, 1)):
-            result = gadget_span(fset, k, l, size_bound=4, aut_group=group)
-            if not all(is_intertwiner(m, group, k, l) for m in result.basis):
-                failures.append(("containment", index, k, l))
-            dims = result.dimension_by_size
-            if any(a > b for a, b in zip(dims, dims[1:])):
-                failures.append(("monotonicity", index, k, l))
+    _acceptance(selftest.gadget_span_saturation)
 
-    swap_symmetric = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
-    group = PermutationGroup.from_elements(2, automorphisms(swap_symmetric))
-    for (k, l) in ((1, 0), (1, 1), (2, 0)):
-        result = gadget_span(swap_symmetric, k, l, size_bound=6, aut_group=group)
-        if not result.certified_equal:
-            failures.append(("saturation", k, l, result.dimension_by_size))
-    _report("8 gadget span containment and saturation", not failures)
-    assert not failures, failures
-
-
-# ---------------------------------------------------------------------------
-# 9. Witness permutation lemma
-# ---------------------------------------------------------------------------
 
 def test_9_witness_sigma():
-    rng = random.Random(1009)
-    corpus = []
-    while len(corpus) < 20:
-        q = 2 if len(corpus) < 16 else 3
-        fset = random_cfset(rng, q, rng.randint(1, 2), max_arity=2)
-        if len(twin_classes(fset)) == fset.q:  # twin-free
-            corpus.append(fset)
-    failures = []
-    for fset in corpus:
-        auts = automorphisms(fset)
-        q = fset.q
-        for k in (1, 2):
-            for phi in all_tuples(q, k):
-                for psi in all_tuples(q, k):
-                    expected = any(tuple(s[x] for x in phi) == psi for s in auts)
-                    try:
-                        result = witness_sigma(fset, phi, psi)
-                    except WitnessSearchExhausted:
-                        failures.append(("exhausted", fset, phi, psi))
-                        continue
-                    if (result.sigma is not None) != expected:
-                        failures.append(("agreement", fset, phi, psi))
-                    elif result.sigma is None:
-                        z_phi = pinned_partition(fset, result.witness, phi)
-                        z_psi = pinned_partition(fset, result.witness, psi)
-                        if z_phi == z_psi or z_phi != result.z_phi or z_psi != result.z_psi:
-                            failures.append(("witness", fset, phi, psi))
-    _report("9 witness permutation lemma", not failures, "20 twin-free sets, k <= 2")
-    assert not failures, failures[:3]
+    _acceptance(selftest.witness_permutation)
 
-
-# ---------------------------------------------------------------------------
-# 10. Vandermonde checker
-# ---------------------------------------------------------------------------
 
 def test_10_vandermonde_checker():
-    rng = random.Random(1010)
-    failures = 0
-    for index in range(200):
-        n = rng.randint(2, 5)
-        n_cols = rng.randint(1, 2)
-        pool = [tuple(random_rational(rng) for _ in range(n_cols)) for _ in range(max(1, n - 1))]
-        rows = [pool[rng.randrange(len(pool))] for _ in range(n)]
-        groups = {}
-        for i, row in enumerate(rows):
-            groups.setdefault(row, []).append(i)
-        coefficients = [0] * n
-        for members in groups.values():
-            parts = [random_rational(rng) for _ in members[:-1]]
-            for i, value in zip(members[:-1], parts):
-                coefficients[i] = value
-            coefficients[members[-1]] = -sum(parts)
-        if index % 4 == 0:
-            # break the premise in a class of size one or by shifting a sum
-            victim = rng.randrange(n)
-            coefficients[victim] = coefficients[victim] + 1
-            try:
-                vandermonde_class_sums(coefficients, rows)
-                failures += 1
-            except VandermondePremiseError as err:
-                total = 0
-                for a, row in zip(coefficients, rows):
-                    term = a
-                    for j, p in enumerate(err.exponents):
-                        term = term * row[j] ** p
-                    total = total + term
-                if total == 0 or total != err.value:
-                    failures += 1
-        else:
-            classes = vandermonde_class_sums(coefficients, rows)
-            if any(total != 0 for _, total in classes):
-                failures += 1
-    _report("10 vandermonde checker", failures == 0, "200 exact systems")
-    assert failures == 0
-
-
-# ---------------------------------------------------------------------------
-# 11. Universal augmentation sum identity
-# ---------------------------------------------------------------------------
-
-def _connected_instance(rng, fset, n_vars):
-    for _ in range(200):
-        inst = random_instance(rng, fset, n_vars, k=1,
-                               n_constraints=rng.randint(n_vars - 1, n_vars + 2))
-        if instance_connected(inst):
-            return inst
-    raise AssertionError("could not sample a connected instance")
+    _acceptance(selftest.vandermonde_checker)
 
 
 def test_11_universal_augmentation():
-    rng = random.Random(1011)
-    failures = 0
-    for _ in range(20):
-        q_f = rng.randint(1, 2)
-        q_g = rng.randint(1, 2)
-        t = rng.randint(1, 2)
-        arities = [rng.randint(1, 2) for _ in range(t)]
-        fset = CFSet(tuple(random_function(rng, q_f, n) for n in arities))
-        gset = CFSet(tuple(random_function(rng, q_g, n) for n in arities))
-        summed = direct_sum_sets(augment_universal(fset), augment_universal(gset))
-        inst = _connected_instance(rng, summed, rng.randint(2, 4))
-        label_var = inst.labels[0]
-        lhs = pinned_partition(summed, inst, (q_f,))  # pin to the F-side universal element
-        total = 0
-        others = [v for v in inst.variables if v != label_var]
-        for size in range(len(others) + 1):
-            for subset in itertools.combinations(others, size):
-                removed = (label_var,) + subset
-                total = total + partition_function(
-                    fset, restrict_instance(inst, removed, fset)
-                )
-        if lhs != total:
-            failures += 1
-    _report("11 universal augmentation sum identity", failures == 0, "20 connected pairs")
-    assert failures == 0
+    _acceptance(selftest.universal_augmentation)
+
+
+# For each requirement, in order: a function its check calls, and a wrapper
+# of it under which the requirement's invariant no longer holds.
+MUTATIONS = (
+    ("product", lambda product: lambda k1, k2: k1),
+    ("contract_twins", lambda contract: lambda fset: dataclasses.replace(
+        contract(fset), contracted=CFSet(contract(fset).contracted.functions))),
+    ("adjoint", lambda adjoint: lambda gadget: gadget),
+    ("decompose", lambda decompose: lambda gadget, fset: decompose(
+        selftest.adjoint(gadget), fset)),
+    ("pinned_partition", lambda pinned: lambda fset, inst, psi: pinned(
+        fset, inst, psi[::-1])),
+    ("intertwiner_basis", lambda basis: lambda group, k, l: basis(
+        selftest.PermutationGroup.trivial(group.q), k, l)),
+    ("automorphisms", lambda auts: lambda fset: [tuple(range(fset.q))]),
+    ("automorphisms", lambda auts: lambda fset: [tuple(range(fset.q))]),
+    ("vandermonde_class_sums", lambda sums: lambda a, rows: ()),
+    ("restrict_instance", lambda restrict: lambda inst, removed, target: restrict(
+        inst, removed[:1], target)),
+)
+
+
+@pytest.mark.parametrize("requirement, mutation", zip(REQUIREMENTS, MUTATIONS),
+                         ids=[check.__name__ for _, check in REQUIREMENTS])
+def test_each_requirement_fails_when_its_invariant_breaks(monkeypatch, requirement, mutation):
+    """No check passes vacuously: breaking what it tests makes it fail."""
+    _, check = requirement
+    name, wrap = mutation
+    monkeypatch.setattr(selftest, name, wrap(getattr(selftest, name)))
+    failures, _ = check()
+    assert failures

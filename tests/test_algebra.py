@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -39,6 +40,13 @@ def test_evaluate_is_row_major_indexing():
     fn = ConstraintFunction(3, 2, tuple(rng.randint(-3, 3) for _ in range(9)))
     for xs in all_tuples(3, 2):
         assert evaluate(fn, xs) == fn.entries[tuple_to_index(xs, 3)]
+
+
+def test_all_tuples_of_an_empty_domain():
+    # islice, so that an endless generator fails instead of hanging
+    assert list(itertools.islice(all_tuples(0, 1), 3)) == []
+    assert list(itertools.islice(all_tuples(0, 2), 3)) == []
+    assert list(all_tuples(0, 0)) == [()]
 
 
 def test_evaluate_errors():

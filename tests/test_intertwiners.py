@@ -196,6 +196,11 @@ def test_negative_shapes_are_rejected():
             gadget_span(fset, k, l, 2)
 
 
+def test_empty_domain_is_rejected():
+    with pytest.raises(IntertwinerError, match="domain size"):
+        intertwiner_basis(PermutationGroup(0, ()), 1, 0)
+
+
 def test_witness_sigma_identity_and_swap():
     fset = CFSet((binary_from_rows([[0, 1], [1, 0]]),))
     result = witness_sigma(fset, (0,), (0,))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cspiso import selftest
 from cspiso.algebra import equality_function, gaussian, unary_function
 from cspiso.cli import main
 from cspiso.corpus import random_cfset, random_gadget, random_instance
@@ -76,6 +77,17 @@ def test_validation_errors():
         )
     with pytest.raises(FormatError):
         instance_from_obj({"variables": ["a", "b"], "labels": ["a", "a"]})
+
+
+@pytest.mark.parametrize("function, message", [
+    ({"q": -1, "arity": 1, "entries": []}, "$.functions[0]: domain size must be >= 1"),
+    ({"q": 2, "arity": 0, "entries": ["1"]}, "$.functions[0]: arity must be >= 1"),
+    ({"q": 2, "arity": 1, "entries": ["1", "x"]}, "$.functions[0].entries: bad scalar"),
+], ids=["q", "arity", "entries"])
+def test_format_errors_name_the_bad_field(function, message):
+    with pytest.raises(FormatError) as err:
+        cfset_from_obj({"functions": [function]})
+    assert str(err.value).startswith(message)
 
 
 def test_parse_pin():
@@ -301,4 +313,13 @@ def test_cli_malformed_input_exits_2_without_a_traceback(tmp_path, argv, bad):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "7/7 suites passed" in out
+    assert "10/10 suites passed" in out
+    assert sum(line.startswith("PASS  ") for line in out.splitlines()) == 10
+
+
+def test_cli_selftest_reports_a_failing_requirement(monkeypatch, capsys):
+    failing = ("12 a broken invariant", lambda: ([("case",)], "1 case"))
+    monkeypatch.setattr(selftest, "REQUIREMENTS", (failing,))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["FAIL  12 a broken invariant  [1 case]", "0/1 suites passed"]
