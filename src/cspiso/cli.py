@@ -8,20 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import format_scalar
 from .holant import signature_matrix
 from .instances import InstanceError
-from .interpolation import DistinguishInconclusive, distinguish
-from .intertwiners import (
-    PermutationGroup,
-    gadget_span,
-    intertwiner_basis,
-    is_intertwiner,
-)
+from .interpolation import DEFAULT_MAX_PROBES, DistinguishInconclusive, distinguish
+from .intertwiners import PermutationGroup, gadget_span, is_intertwiner
 from .io import (
     FormatError,
     cfset_from_obj,
@@ -32,31 +25,13 @@ from .io import (
     load_json,
     parse_pin,
 )
-from .partition import (
-    DEFAULT_TERM_CAP,
-    TermCapExceeded,
-    partition_function,
-    pinned_partition,
-)
+from .partition import TermCapExceeded, partition_function, pinned_partition
 from .structure import automorphisms, isomorphisms, twin_classes
 from . import expressions, selftest as selftest_mod
 
 
-@dataclass
-class RunConfig:
-    term_cap: int = DEFAULT_TERM_CAP
-    max_probes: int = 4000
-    span_bound: int = 6
-    output_format: str = "text"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return default if raw is None else int(raw)
-
-
-def _emit(config: RunConfig, payload: dict, text_lines) -> None:
-    if config.output_format == "json":
+def _emit(args, payload: dict, text_lines) -> None:
+    if args.format == "json":
         print(dump_json(payload))
     else:
         for line in text_lines:
@@ -67,53 +42,52 @@ def _perm_str(sigma) -> str:
     return "(" + " ".join(str(x + 1) for x in sigma) + ")"
 
 
-def _cmd_zeval(args, config: RunConfig) -> int:
+def _cmd_zeval(args) -> int:
     fset = cfset_from_obj(load_json(args.functions))
     inst = instance_from_obj(load_json(args.instance), fset)
     if args.pin is not None:
         psi = parse_pin(args.pin, inst.k, fset.q)
-        value = pinned_partition(fset, inst, psi, cap=config.term_cap)
+        value = pinned_partition(fset, inst, psi, cap=args.term_cap)
     else:
-        value = partition_function(fset, inst, cap=config.term_cap)
-    _emit(config, {"value": format_scalar(value)}, [format_scalar(value)])
+        value = partition_function(fset, inst, cap=args.term_cap)
+    _emit(args, {"value": format_scalar(value)}, [format_scalar(value)])
     return 0
 
 
-def _cmd_iso(args, config: RunConfig) -> int:
+def _cmd_iso(args) -> int:
     fset = cfset_from_obj(load_json(args.f))
     gset = cfset_from_obj(load_json(args.g))
     isos = tuple(isomorphisms(fset, gset))
     payload = {"isomorphisms": [_perm_str(s) for s in isos]}
     if isos:
-        _emit(config, payload, [_perm_str(s) for s in isos])
+        _emit(args, payload, [_perm_str(s) for s in isos])
         return 0
-    _emit(config, payload, ["none"])
+    _emit(args, payload, ["none"])
     return 1
 
 
-def _cmd_twins(args, config: RunConfig) -> int:
+def _cmd_twins(args) -> int:
     fset = cfset_from_obj(load_json(args.f))
     classes = twin_classes(fset)
     rendered = [[i + 1 for i in cls] for cls in classes]
     _emit(
-        config,
+        args,
         {"classes": rendered},
         [" ".join("{" + ",".join(map(str, cls)) + "}" for cls in rendered)],
     )
     return 0
 
 
-def _cmd_distinguish(args, config: RunConfig) -> int:
+def _cmd_distinguish(args) -> int:
     fset = cfset_from_obj(load_json(args.f))
     gset = cfset_from_obj(load_json(args.g))
     phi = parse_pin(args.pin_f, _pin_len(args.pin_f), fset.q) if args.pin_f else ()
     psi = parse_pin(args.pin_g, _pin_len(args.pin_g), gset.q) if args.pin_g else ()
-    max_probes = config.max_probes if args.max_probes is None else args.max_probes
-    result = distinguish(fset, gset, phi, psi, max_probes=max_probes)
+    result = distinguish(fset, gset, phi, psi, max_probes=args.max_probes)
     if result.sigma is not None:
         note = " (pins matched up to twins)" if result.twins_adjusted else ""
         _emit(
-            config,
+            args,
             {"isomorphic": True, "sigma": _perm_str(result.sigma),
              "twins_adjusted": result.twins_adjusted},
             [f"isomorphic via sigma={_perm_str(result.sigma)}{note}"],
@@ -126,7 +100,7 @@ def _cmd_distinguish(args, config: RunConfig) -> int:
         "z_g": format_scalar(result.z_g),
     }
     _emit(
-        config,
+        args,
         payload,
         [
             "not isomorphic; witness instance:",
@@ -142,51 +116,49 @@ def _pin_len(text: str) -> int:
     return 0 if not text.strip() else len(text.split(","))
 
 
-def _cmd_sigmat(args, config: RunConfig) -> int:
+def _cmd_sigmat(args) -> int:
     fset = cfset_from_obj(load_json(args.functions)) if args.functions else None
     gadget = gadget_from_obj(load_json(args.gadget), fset)
-    matrix = signature_matrix(gadget, cap=config.term_cap)
+    matrix = signature_matrix(gadget, cap=args.term_cap)
     rendered = [[format_scalar(x) for x in row] for row in matrix.data]
-    _emit(config, {"rows": matrix.rows, "cols": matrix.cols, "matrix": rendered},
+    _emit(args, {"rows": matrix.rows, "cols": matrix.cols, "matrix": rendered},
           [" ".join(row) for row in rendered])
     return 0
 
 
-def _cmd_decompose(args, config: RunConfig) -> int:
+def _cmd_decompose(args) -> int:
     fset = cfset_from_obj(load_json(args.functions))
     gadget = gadget_from_obj(load_json(args.gadget), fset)
     expr = expressions.decompose(gadget, fset)
-    wanted = signature_matrix(gadget, cap=config.term_cap)
+    wanted = signature_matrix(gadget, cap=args.term_cap)
     got = expressions.evaluate_expression(expr, fset.q, fset.functions)
     match = wanted == got
     _emit(
-        config,
+        args,
         {"expression": repr(expr), "matches": match},
         [repr(expr), f"signature matrix match: {'yes' if match else 'NO'}"],
     )
     return 0 if match else 1
 
 
-def _cmd_intertwiners(args, config: RunConfig) -> int:
+def _cmd_intertwiners(args) -> int:
     fset = cfset_from_obj(load_json(args.f))
     group = PermutationGroup.from_elements(fset.q, automorphisms(fset))
-    space = intertwiner_basis(group, args.k, args.l)
-    span_bound = config.span_bound if args.span_bound is None else args.span_bound
-    span = gadget_span(fset, args.k, args.l, span_bound, aut_group=group)
+    span = gadget_span(fset, args.k, args.l, args.span_bound, aut_group=group)
     members = all(
         is_intertwiner(m, group, args.k, args.l) for m in span.basis
     )
     lines = [
-        f"orbit basis dimension: {space.dimension}",
+        f"orbit basis dimension: {span.orbit_dimension}",
         f"span dimension by size: {span.dimension_by_size}",
         f"span saturated by: {span.saturated_by}",
         f"span inside intertwiner space: {'yes' if members else 'NO'}",
         f"span equals orbit space: {'yes' if span.certified_equal else 'not certified'}",
     ]
     _emit(
-        config,
+        args,
         {
-            "orbit_dimension": space.dimension,
+            "orbit_dimension": span.orbit_dimension,
             "span_dimensions": span.dimension_by_size,
             "saturated_by": span.saturated_by,
             "span_contained": members,
@@ -197,14 +169,14 @@ def _cmd_intertwiners(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_selftest(args, config: RunConfig) -> int:
+def _cmd_selftest(args) -> int:
     report = [(name, not failures, detail) for name, failures, detail in selftest_mod.run()]
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
              for name, ok, detail in report]
     passed = sum(ok for _, ok, _ in report)
     lines.append(f"{passed}/{len(report)} suites passed")
     ok_all = passed == len(report)
-    _emit(config, {"results": {name: ok for name, ok, _ in report}, "ok": ok_all}, lines)
+    _emit(args, {"results": {name: ok for name, ok, _ in report}, "ok": ok_all}, lines)
     return 0 if ok_all else 1
 
 
@@ -235,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--pin-f", default=None)
     p.add_argument("--pin-g", default=None)
-    p.add_argument("--max-probes", type=int, default=None)
+    p.add_argument("--max-probes", type=int, default=DEFAULT_MAX_PROBES)
 
     p = sub.add_parser("sigmat", help="signature matrix of a gadget")
     p.add_argument("--gadget", required=True)
@@ -249,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--span-bound", type=int, default=None)
+    p.add_argument("--span-bound", type=int, default=6)
 
     sub.add_parser("selftest", help="run acceptance requirements 2-11")
     return parser
@@ -274,16 +246,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = RunConfig(
-            term_cap=(
-                _env_int("CSPISO_TERM_CAP", DEFAULT_TERM_CAP)
-                if args.term_cap is None else args.term_cap
-            ),
-            max_probes=_env_int("CSPISO_MAX_PROBES", 4000),
-            span_bound=_env_int("CSPISO_SPAN_BOUND", 6),
-            output_format=args.format,
-        )
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)

@@ -35,8 +35,8 @@ classes and sums over the values of the free classes with
 product; by the #CSP-Holant bridge (``csp_to_grid``) the two compute one
 sum.  Like ``pinned_partition`` it passes the integer form of every function
 vertex's table and divides each entry once by the product of their
-denominators.  Its term cap, ``partition.DEFAULT_TERM_CAP``, counts every
-assignment, and it raises ``partition.TermCapExceeded``.
+denominators.  Its term cap counts every assignment and follows the one
+policy of ``partition._check_terms``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .algebra import (
     union_find,
 )
 from .instances import CFSet, LabeledInstance
-from .partition import DEFAULT_TERM_CAP, TermCapExceeded, _integer_factors, _sum_product
+from .partition import _check_terms, _integer_factors, _sum_product
 
 
 class GadgetError(ValueError):
@@ -173,9 +173,6 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
     ``TermCapExceeded`` past ``cap`` terms, ``q^(k+l) * q^(free classes)``,
     and ``ValueError`` if ``cap`` is negative.
     """
-    cap = DEFAULT_TERM_CAP if cap is None else cap
-    if cap < 0:
-        raise ValueError(f"term cap must be at least 0, got {cap}")
     q = g.q
     k, l, n_edges = g.n_outputs, g.n_inputs, len(g.edges)
 
@@ -207,9 +204,7 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
     for r in sorted(set(root.values())):
         number.setdefault(r, len(number))
 
-    terms = q ** (k + l) * q ** (len(number) - n_fixed)
-    if terms > cap:
-        raise TermCapExceeded(terms, cap)
+    _check_terms(q ** (k + l) * q ** (len(number) - n_fixed), cap)
 
     factors, den = _integer_factors(
         [(fn, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices]

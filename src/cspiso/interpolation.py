@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Scalar, all_tuples, tuple_to_index
+from .algebra import GaussianRational, Scalar, _norm_rational, all_tuples, tuple_to_index
 from .instances import CFSet, LabeledInstance, PinMap, require_compatible
 from .partition import pinned_partition
 from .structure import (
@@ -32,6 +32,9 @@ from .structure import (
     isomorphisms,
 )
 from .witnesses import probe_stream
+
+
+DEFAULT_MAX_PROBES = 4000
 
 
 class InterpolationError(ValueError):
@@ -223,10 +226,6 @@ def _u_var(a: int, d: int):
 
 
 def _family_scaffold(wb: WellBalancedMap):
-    labels = []
-    for d in range(wb.n - 1):
-        for a in range(wb.k_block):
-            labels.append(_u_var(a, d))
     # label index of u(a, d) is a + d*k_block, matching wb.phi
     ordered = [None] * wb.total_labels
     for d in range(wb.n - 1):
@@ -291,9 +290,14 @@ def _center_value(fset: CFSet, exponents: Mapping, i: int) -> Scalar:
     return term
 
 
+def _as_pinned(value: Scalar) -> Scalar:
+    """``value`` in ``pinned_partition``'s form: a whole number is an ``int``."""
+    return value if isinstance(value, GaussianRational) else _norm_rational(value)
+
+
 def family_one_value(fset: CFSet, exponents: Mapping) -> Scalar:
     """The closed form the pinned partition value must equal."""
-    return sum(_center_value(fset, exponents, i) for i in range(fset.q))
+    return _as_pinned(sum(_center_value(fset, exponents, i) for i in range(fset.q)))
 
 
 def build_family_two(
@@ -324,7 +328,7 @@ def family_two_value(fset: CFSet, anchor: int, exponent_list: Sequence[Mapping])
         for h, i in enumerate(assignment):
             term = term * _center_value(fset, exponent_list[h], i)
         total = total + term
-    return total
+    return _as_pinned(total)
 
 
 def build_family_three(
@@ -363,7 +367,7 @@ def family_three_value(
 ) -> Scalar:
     n_f = fset.functions[anchor].arity
     if n_f == 1:
-        return fset.functions[anchor].entries[pinned_value]
+        return _as_pinned(fset.functions[anchor].entries[pinned_value])
     total: Scalar = 0
     for assignment in all_tuples(fset.q, n_f - 1):
         term: Scalar = fset.functions[anchor].entries[
@@ -374,7 +378,7 @@ def family_three_value(
         for h, i in enumerate(assignment):
             term = term * _center_value(fset, exponent_list[h], i)
         total = total + term
-    return total
+    return _as_pinned(total)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +395,6 @@ class DistinguishResult:
     witness: Optional[LabeledInstance] = None
     z_f: Optional[Scalar] = None
     z_g: Optional[Scalar] = None
-    swapped: bool = False
 
     @property
     def isomorphic(self) -> bool:
@@ -471,14 +474,14 @@ def distinguish(
     gset: CFSet,
     phi: Sequence[int] = (),
     psi: Sequence[int] = (),
-    max_probes: int = 4000,
+    max_probes: int = DEFAULT_MAX_PROBES,
 ) -> DistinguishResult:
     """Return an isomorphism aligning the pin maps, or a concrete instance
     whose pinned partition values differ (computed exactly before returning).
 
-    The set with the larger domain goes first; inputs are swapped
-    otherwise, which sets ``swapped``.  Domains of different sizes admit no
-    isomorphism, so a swapped result always carries a witness.
+    Sets over domains of different sizes are never isomorphic.  Their probes
+    come from the stream of the larger domain, so the witness found does not
+    depend on the order of the arguments.
     """
     require_compatible(fset, gset)
     phi, psi = tuple(phi), tuple(psi)
@@ -486,11 +489,6 @@ def distinguish(
         raise InterpolationError("pin maps must have equal length")
     if max_probes < 0:
         raise InterpolationError(f"max_probes must be at least 0, got {max_probes}")
-    if fset.q < gset.q:
-        flipped = distinguish(gset, fset, psi, phi, max_probes)
-        return DistinguishResult(
-            witness=flipped.witness, z_f=flipped.z_g, z_g=flipped.z_f, swapped=True
-        )
 
     contraction_f = contract_twins(fset)
     contraction_g = contract_twins(gset)

@@ -6,10 +6,9 @@ equality classes).  ``pinned_partition`` fixes the labeled variables and sums
 over their extensions, with domain weights as unary factors on the unlabeled
 variables; ``partition_function`` pins nothing.  The kernel reads each factor
 once its last variable has a value and skips the subtree below every zero
-partial product.  The term cap (``DEFAULT_TERM_CAP``, ``TermCapExceeded``,
-shared with the Holant side) counts all ``q**free`` assignments, skipped or
-not, so #P-hardness cannot turn into a hang; a negative cap is a
-``ValueError``.
+partial product.  The term cap counts all ``q**free`` assignments, skipped
+or not, so #P-hardness cannot turn into a hang; ``_check_terms`` is its one
+check, shared with the Holant side.
 
 Rational and Gaussian tables enter the kernel in integer form: every
 ``ConstraintFunction`` (the weights too, which a ``CFSet`` keeps as a unary
@@ -37,6 +36,17 @@ class TermCapExceeded(RuntimeError):
         super().__init__(f"enumeration needs {terms} terms, cap is {cap}")
         self.terms = terms
         self.cap = cap
+
+
+def _check_terms(terms: int, cap: Optional[int]) -> None:
+    """The one term-cap policy: ``None`` means ``DEFAULT_TERM_CAP``, a
+    negative cap is a ``ValueError``, and more than ``cap`` terms raise
+    ``TermCapExceeded``."""
+    cap = DEFAULT_TERM_CAP if cap is None else cap
+    if cap < 0:
+        raise ValueError(f"term cap must be at least 0, got {cap}")
+    if terms > cap:
+        raise TermCapExceeded(terms, cap)
 
 
 def _sum_product(
@@ -124,14 +134,9 @@ def pinned_partition(
         raise ValueError(f"pin map has {len(psi)} values, instance has k={inst.k}")
     if any(not 0 <= x < q for x in psi):
         raise ValueError("pin value out of domain range")
-    cap = DEFAULT_TERM_CAP if cap is None else cap
-    if cap < 0:
-        raise ValueError(f"term cap must be at least 0, got {cap}")
 
     free = inst.unlabeled_variables()
-    terms = q ** len(free)
-    if terms > cap:
-        raise TermCapExceeded(terms, cap)
+    _check_terms(q ** len(free), cap)
 
     # Variable order: labeled first (fixed), then free in stable order.
     order = list(inst.labels) + list(free)

@@ -334,6 +334,24 @@ def test_signature_matrix_rejects_a_negative_cap():
     assert signature_matrix(identity_gadget(2), cap=4) == signature_matrix(identity_gadget(2))
 
 
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_pinned_partition_and_signature_matrix_share_the_cap_policy(cap):
+    # a path a-b-c with a labeled: q^2 terms pinned, q^(1 + 2) for its grid
+    fset = CFSet((binary_from_rows([[1, 2, 0], [0, 1, 1], [2, 0, 1]]),))
+    inst = LabeledInstance(("a", "b", "c"), ((0, ("a", "b")), (0, ("b", "c"))), ("a",))
+    grid = csp_to_grid(inst, fset)
+    calls = [(lambda: pinned_partition(fset, inst, (0,), cap=cap), 9),
+             (lambda: signature_matrix(grid, cap=cap), 27)]
+    for call, terms in calls:
+        if cap < 0:
+            with pytest.raises(ValueError, match="term cap must be at least 0"):
+                call()
+        else:
+            with pytest.raises(TermCapExceeded) as err:
+                call()
+            assert (err.value.terms, err.value.cap) == (terms, cap)
+
+
 def test_gadget_validation():
     with pytest.raises(GadgetError):
         Gadget(2, (EQ,), (((0, 0), (0, 0)),))  # port used twice

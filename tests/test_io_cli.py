@@ -242,39 +242,46 @@ def test_cli_zero_caps_are_honoured(tmp_path, capsys):
     assert err.count("cap exceeded") == 3
 
 
-def test_cli_negative_caps_are_input_errors(tmp_path, capsys, monkeypatch):
+def test_cli_negative_caps_are_input_errors(tmp_path, capsys):
     f = _write(tmp_path, "f.json", EQ_SET_OBJ)
     g = _write(tmp_path, "g.json",
                {"functions": [{"q": 2, "arity": 2, "entries": ["1", "0", "0", "2"]}]})
     k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
-    zeval = ["zeval", "--functions", f, "--instance", k]
-    pair = ["distinguish", "--f", f, "--g", g]
-    assert main(["--term-cap", "-5"] + zeval) == 2
-    assert main(pair + ["--max-probes", "-1"]) == 2
-    monkeypatch.setenv("CSPISO_MAX_PROBES", "-2")
-    assert main(pair) == 2
-    monkeypatch.setenv("CSPISO_TERM_CAP", "-1")
-    assert main(zeval) == 2
+    assert main(["--term-cap", "-5", "zeval", "--functions", f, "--instance", k]) == 2
+    assert main(["distinguish", "--f", f, "--g", g, "--max-probes", "-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("error: ") == 4
+    assert captured.err.count("error: ") == 2
     assert "cap exceeded" not in captured.err and captured.out == ""
 
 
-def test_cli_zero_span_bound_is_an_input_error(tmp_path, capsys, monkeypatch):
+def test_cli_zero_span_bound_is_an_input_error(tmp_path, capsys):
     f = _write(tmp_path, "f.json",
                {"functions": [{"q": 2, "arity": 2, "entries": ["0", "1", "1", "0"]}]})
     command = ["intertwiners", "--f", f, "--k", "1", "--l", "1"]
     assert main(command + ["--span-bound", "0"]) == 2
-    monkeypatch.setenv("CSPISO_SPAN_BOUND", "0")
-    assert main(command) == 2
-    assert capsys.readouterr().err.count("error: size bound must be at least 1") == 2
+    assert capsys.readouterr().err.count("error: size bound must be at least 1") == 1
 
 
-def test_cli_bad_cap_in_environment_is_an_input_error(tmp_path, capsys, monkeypatch):
+def test_cli_limits_are_not_read_from_the_environment(tmp_path, capsys, monkeypatch):
     f = _write(tmp_path, "f.json", EQ_SET_OBJ)
+    g = _write(tmp_path, "g.json",
+               {"functions": [{"q": 2, "arity": 2, "entries": ["1", "0", "0", "2"]}]})
+    k = _write(tmp_path, "k.json", EDGE_INSTANCE_OBJ)
+    commands = [
+        (["twins", "--f", f], 0),
+        (["zeval", "--functions", f, "--instance", k], 0),
+        (["distinguish", "--f", f, "--g", g], 1),
+    ]
+    plain = []
+    for argv, code in commands:
+        assert main(argv) == code
+        plain.append(capsys.readouterr().out)
     monkeypatch.setenv("CSPISO_TERM_CAP", "many")
-    assert main(["twins", "--f", f]) == 2
-    assert "many" in capsys.readouterr().err
+    monkeypatch.setenv("CSPISO_MAX_PROBES", "-2")
+    for (argv, code), out in zip(commands, plain):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, "")
 
 
 @pytest.mark.parametrize("argv, bad", [
