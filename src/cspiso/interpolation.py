@@ -490,31 +490,31 @@ def distinguish(
     if max_probes < 0:
         raise InterpolationError(f"max_probes must be at least 0, got {max_probes}")
 
-    contraction_f = contract_twins(fset)
-    contraction_g = contract_twins(gset)
     k = len(phi)
-
-    if fset.q == gset.q and contraction_f.contracted.q == contraction_g.contracted.q:
-        class_of_f = contraction_f.class_of
-        class_of_g = contraction_g.class_of
-        adjusted_candidate = None
-        for sigma_t in isomorphisms(
-            contraction_f.contracted, contraction_g.contracted
-        ):
-            if any(
-                class_of_g[psi[i]] != sigma_t[class_of_f[phi[i]]] for i in range(k)
+    if fset.q == gset.q:
+        contraction_f = contract_twins(fset)
+        contraction_g = contract_twins(gset)
+        if contraction_f.contracted.q == contraction_g.contracted.q:
+            class_of_f = contraction_f.class_of
+            class_of_g = contraction_g.class_of
+            adjusted_candidate = None
+            for sigma_t in isomorphisms(
+                contraction_f.contracted, contraction_g.contracted
             ):
-                continue
-            pins = [(phi[i], psi[i]) for i in range(k)]
-            lifted = _lift(sigma_t, contraction_f, contraction_g, fset, gset, pins)
-            if lifted is not None and is_isomorphism(lifted, fset, gset):
-                return DistinguishResult(sigma=lifted)
-            if adjusted_candidate is None:
-                lifted = _lift(sigma_t, contraction_f, contraction_g, fset, gset, [])
+                if any(
+                    class_of_g[psi[i]] != sigma_t[class_of_f[phi[i]]] for i in range(k)
+                ):
+                    continue
+                pins = [(phi[i], psi[i]) for i in range(k)]
+                lifted = _lift(sigma_t, contraction_f, contraction_g, fset, gset, pins)
                 if lifted is not None and is_isomorphism(lifted, fset, gset):
-                    adjusted_candidate = lifted
-        if adjusted_candidate is not None:
-            return DistinguishResult(sigma=adjusted_candidate, twins_adjusted=True)
+                    return DistinguishResult(sigma=lifted)
+                if adjusted_candidate is None:
+                    lifted = _lift(sigma_t, contraction_f, contraction_g, fset, gset, [])
+                    if lifted is not None and is_isomorphism(lifted, fset, gset):
+                        adjusted_candidate = lifted
+            if adjusted_candidate is not None:
+                return DistinguishResult(sigma=adjusted_candidate, twins_adjusted=True)
 
     probe_key = (fset.arities(), k, max(fset.q, gset.q))
     profile_f = fset._memo.setdefault((phi, probe_key), [])

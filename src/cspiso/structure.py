@@ -4,8 +4,11 @@ connectivity, and the universal-element augmentation.
 ``isomorphisms`` is the one isomorphism search: it backtracks over partial
 maps, pruned by per-element invariants and by an entrywise check of each
 new element, so its cost follows the pruned search tree, not q!.
-``automorphisms``, ``distinguish``, ``witness_sigma``, ``gadget_span`` and
-the CLI all use it.  ``find_isomorphisms`` is deliberately plain brute force
+``distinguish`` and the CLI use it.  ``automorphisms`` (behind
+``witness_sigma``, ``gadget_span`` and the CLI's ``intertwiners``) runs the
+same search as a stabilizer chain: one dive per coset of each point
+stabilizer, not one path per automorphism, and multiplies the coset
+representatives out.  ``find_isomorphisms`` is deliberately plain brute force
 over the symmetric group (with the same invariant prune); it is the
 ground-truth oracle the search is checked against, and the only routine
 here that walks all of S_q.  A set's twin contraction and invariant profile
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraError,
@@ -160,27 +163,30 @@ def is_isomorphism(sigma: Permutation, fset: CFSet, gset: CFSet) -> bool:
     return True
 
 
-def _value_invariant(fset: CFSet, i: int):
-    """Permutation-invariant data of element i: weight + per-(j, slot) value
-    multisets, each sorted by ``scalar_sort_key``.  Used only to prune the
-    isomorphism searches."""
-    inv = [fset.weight(i)]
-    for j, fn in enumerate(fset.functions):
-        for r in range(fn.arity):
-            values = sorted(
-                (_slot_value(fn, x, r, i) for x in all_tuples(fset.q, fn.arity - 1)),
-                key=scalar_sort_key,
-            )
-            inv.append(tuple(values))
-    return tuple(inv)
-
-
 def _invariant_profile(fset: CFSet):
-    """Per-element invariants and their multiset, kept on ``fset``.  The
-    multiset is a plain dict, whose comparison runs in C (a Counter's does
-    not)."""
+    """Per-element invariants and their multiset, kept on ``fset``.
+
+    Element i's invariant is its weight followed by, for each function and
+    argument slot, the values of the entries whose slot holds i, sorted by
+    ``scalar_sort_key``.  Each (function, slot) column is read in one pass
+    over the table: slot r of a table of arity n holds digit r of the
+    index, so the entries of element i come in runs of q^(n-1-r).  Used only
+    to prune the isomorphism searches.  The multiset is a plain dict, whose
+    comparison runs in C (a Counter's does not)."""
     if "invariants" not in fset._memo:
-        per_element = tuple(_value_invariant(fset, i) for i in range(fset.q))
+        q = fset.q
+        per_element = [[fset.weight(i)] for i in range(q)]
+        for fn in fset.functions:
+            entries = fn.entries
+            for r in range(fn.arity):
+                run = q ** (fn.arity - 1 - r)
+                for i, inv in enumerate(per_element):
+                    values = []
+                    for start in range(i * run, len(entries), q * run):
+                        values += entries[start:start + run]
+                    values.sort(key=scalar_sort_key)
+                    inv.append(tuple(values))
+        per_element = tuple(tuple(inv) for inv in per_element)
         fset._memo["invariants"] = per_element, dict(Counter(per_element))
     return fset._memo["invariants"]
 
@@ -223,6 +229,83 @@ def _new_tuples(n: int, d: int) -> List[Tuple[int, ...]]:
     ]
 
 
+def _search(
+    fset: CFSet, gset: CFSet
+) -> Callable[[Tuple[int, ...]], Iterator[Permutation]]:
+    """The backtracking isomorphism search, set up once for a pair of sets.
+
+    Returns a function that maps a prefix of images to an iterator over the
+    isomorphisms sigma with ``sigma[d] == prefix[d]`` for every d below the
+    prefix's length, in lexicographic order.  Each call gets its own partial
+    map and ``used`` marks, so an iterator abandoned after its first
+    isomorphism leaves nothing behind.
+    """
+    require_compatible(fset, gset)
+    if fset.q != gset.q:
+        raise CompatibilityError("isomorphism needs a common domain size")
+    q = fset.q
+    f_inv, f_counts = _invariant_profile(fset)
+    g_inv, g_counts = _invariant_profile(gset)
+    if f_counts != g_counts:
+        return lambda prefix: iter(())
+    candidates = [
+        [ig for ig in range(q) if g_inv[ig] == f_inv[i]] for i in range(q)
+    ]
+    # checks[d]: (F entry, G table, tuple) for every tuple new at depth d
+    checks = [
+        [
+            (fn.entries[tuple_to_index(xs, q)], gn.entries, xs)
+            for fn, gn in zip(fset.functions, gset.functions)
+            for xs in _new_tuples(fn.arity, d)
+        ]
+        for d in range(q)
+    ]
+
+    def agrees(sigma: List[int], d: int) -> bool:
+        for value, g_entries, xs in checks[d]:
+            idx = 0
+            for x in xs:
+                idx = idx * q + sigma[x]
+            if g_entries[idx] != value:
+                return False
+        return True
+
+    def extensions(prefix: Tuple[int, ...]) -> Iterator[Permutation]:
+        start = len(prefix)
+        sigma = list(prefix) + [0] * (q - start)
+        used = [False] * q
+        for d, y in enumerate(prefix):
+            if used[y] or y not in candidates[d]:
+                return iter(())
+            used[y] = True
+        if not all(agrees(sigma, d) for d in range(start)):
+            return iter(())
+
+        def extend(d: int) -> Iterator[Permutation]:
+            if d == q:
+                yield tuple(sigma)
+                return
+            for ig in candidates[d]:
+                if used[ig]:
+                    continue
+                sigma[d] = ig
+                # agrees(sigma, d), inlined: this loop is the search's hot path
+                for value, g_entries, xs in checks[d]:
+                    idx = 0
+                    for x in xs:
+                        idx = idx * q + sigma[x]
+                    if g_entries[idx] != value:
+                        break
+                else:
+                    used[ig] = True
+                    yield from extend(d + 1)
+                    used[ig] = False
+
+        return extend(start)
+
+    return extensions
+
+
 def isomorphisms(fset: CFSet, gset: CFSet) -> Iterator[Permutation]:
     """All domain-weighted isomorphisms, lazily, in lexicographic order.
 
@@ -236,53 +319,36 @@ def isomorphisms(fset: CFSet, gset: CFSet) -> Iterator[Permutation]:
     or of unequal domain size raise :class:`CompatibilityError` once
     iteration starts.
     """
-    require_compatible(fset, gset)
-    if fset.q != gset.q:
-        raise CompatibilityError("isomorphism needs a common domain size")
-    q = fset.q
-    f_inv, f_counts = _invariant_profile(fset)
-    g_inv, g_counts = _invariant_profile(gset)
-    if f_counts != g_counts:
-        return
-    candidates = [
-        [ig for ig in range(q) if g_inv[ig] == f_inv[i]] for i in range(q)
-    ]
-    # checks[d]: (F entry, G table, tuple) for every tuple new at depth d
-    checks = [
-        [
-            (fn.entries[tuple_to_index(xs, q)], gn.entries, xs)
-            for fn, gn in zip(fset.functions, gset.functions)
-            for xs in _new_tuples(fn.arity, d)
-        ]
-        for d in range(q)
-    ]
-    sigma = [0] * q
-    used = [False] * q
-
-    def extend(d: int) -> Iterator[Permutation]:
-        if d == q:
-            yield tuple(sigma)
-            return
-        for ig in candidates[d]:
-            if used[ig]:
-                continue
-            sigma[d] = ig
-            for value, g_entries, xs in checks[d]:
-                idx = 0
-                for x in xs:
-                    idx = idx * q + sigma[x]
-                if g_entries[idx] != value:
-                    break
-            else:
-                used[ig] = True
-                yield from extend(d + 1)
-                used[ig] = False
-
-    yield from extend(0)
+    yield from _search(fset, gset)(())
 
 
 def automorphisms(fset: CFSet) -> Tuple[Permutation, ...]:
-    return tuple(isomorphisms(fset, fset))
+    """The automorphism group of ``fset``, sorted lexicographically: the
+    same tuple as ``tuple(isomorphisms(fset, fset))``.
+
+    Built on a stabilizer chain (Sims).  G_d, the automorphisms that fix
+    ``0..d-1``, is the disjoint union of the cosets t G_(d+1), one for each
+    image of d, so G = T_0 T_1 ... T_(q-1), with T_d one representative per
+    coset.  The representative that sends d to y > d is the first leaf of
+    one dive of the search, below the prefix ``(0, ..., d-1, y)``; a dive
+    that finds none proves that y is not in the orbit.  So the search pays
+    one path per coset instead of one per automorphism, and the dives'
+    subtrees are disjoint parts of the tree that ``isomorphisms`` walks.
+    Building the group takes at most 2|G| compositions.
+    """
+    q = fset.q
+    extensions = _search(fset, fset)
+    identity = tuple(range(q))
+    group = [identity]
+    for d in reversed(range(q)):
+        cosets = []
+        for y in range(d + 1, q):
+            representative = next(extensions(identity[:d] + (y,)), None)
+            if representative is not None:
+                cosets.append(representative)
+        group += [tuple(map(t.__getitem__, s)) for t in cosets for s in group]
+    group.sort()
+    return tuple(group)
 
 
 # ---------------------------------------------------------------------------

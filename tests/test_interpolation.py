@@ -21,6 +21,7 @@ from cspiso.instances import CFSet, forget_labels, is_simple
 from cspiso.linalg import rank
 from cspiso.partition import pinned_partition
 from cspiso.structure import (
+    ContractionError,
     automorphisms,
     configuration_index,
     contract_twins,
@@ -325,6 +326,23 @@ def test_distinguish_swaps_for_larger_second_domain():
     assert result.z_f != result.z_g
     reverse = distinguish(small, tiny)
     assert result == dataclasses.replace(reverse, z_f=reverse.z_g, z_g=reverse.z_f)
+
+
+def test_distinguish_does_not_contract_twins_across_domain_sizes():
+    """Sets over different domains are never isomorphic, so their twin
+    contractions are not needed; a vanishing twin-class weight in one of
+    them must not stop the one-variable instance from separating them."""
+    small = CFSet((unary_function((1, 3)),), weights=(1, 2))
+    cancelling = CFSet((unary_function((1, 1, 3)),), weights=(1, -1, 1))
+    with pytest.raises(ContractionError):
+        contract_twins(cancelling)
+    for fset, gset, values in ((small, cancelling, (3, 1)), (cancelling, small, (1, 3))):
+        result = distinguish(fset, gset)
+        assert result.sigma is None
+        assert result.witness.constraints == () and len(result.witness.variables) == 1
+        assert (result.z_f, result.z_g) == values
+        assert pinned_partition(fset, result.witness, ()) == values[0]
+        assert pinned_partition(gset, result.witness, ()) == values[1]
 
 
 def test_distinguish_rejects_negative_max_probes():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cspiso.algebra import (
     evaluate,
     gaussian,
     permute_domain,
+    scalar_sort_key,
     tuple_to_index,
     unary_function,
 )
@@ -34,6 +36,7 @@ from cspiso.structure import (
     instance_connected,
     is_isomorphism,
     isomorphisms,
+    _invariant_profile,
     restrict_instance,
     twin_classes,
 )
@@ -417,3 +420,103 @@ def test_verifying_sigma_leaves_the_permute_cache_alone():
     assert witness_sigma(cycle, (0, 1), (1, 2)).sigma is not None
     assert after_oracle > before  # the oracle does fill it
     assert permute_domain.cache_info().currsize == after_oracle
+
+
+def _slotwise_invariant(fset, i):
+    """Element i's invariant by its definition: its weight, then for each
+    function and slot the values with i in that slot, sorted."""
+    inv = [fset.weight(i)]
+    for fn in fset.functions:
+        for r in range(fn.arity):
+            values = [
+                fn.entries[tuple_to_index(x[:r] + (i,) + x[r:], fset.q)]
+                for x in all_tuples(fset.q, fn.arity - 1)
+            ]
+            inv.append(tuple(sorted(values, key=scalar_sort_key)))
+    return tuple(inv)
+
+
+def test_invariant_profile_matches_the_slotwise_definition():
+    pools = (
+        (0, 1, 2),
+        (-2, -1, 0, 1),
+        (0, Fraction(1, 2), Fraction(-3, 4), 2),
+        (0, 1, gaussian(0, 1), gaussian(1, -1), gaussian(-1, 0)),
+        (7,),
+    )
+    weight_pools = ((1, 2), (1, -1, Fraction(2, 3)), (gaussian(0, 1), 1))
+    rng = random.Random(37)
+    for n in range(240):
+        q = rng.randint(1, 5)
+        pool = pools[n % len(pools)]
+        functions = []
+        for _ in range(rng.randint(1, 3)):
+            arity = rng.randint(1, 3 if q <= 4 else 2)
+            if rng.random() < 0.2:
+                functions.append(constant_function(q, arity, rng.choice(pool)))
+            else:
+                functions.append(random_function(rng, q, arity, pool))
+        weights = None
+        if rng.random() < 0.4:
+            wpool = rng.choice(weight_pools)
+            weights = tuple(rng.choice(wpool) for _ in range(q))
+        fset = CFSet(tuple(functions), weights)
+        expected = tuple(_slotwise_invariant(fset, i) for i in range(q))
+        per_element, counts = _invariant_profile(fset)
+        assert per_element == expected
+        assert counts == dict(Counter(expected))
+
+
+def _compose(a, b):
+    return tuple(a[x] for x in b)
+
+
+def _twin_blowup(rng, sizes, weights):
+    """A symmetric binary function in which the elements of each block of
+    ``sizes`` are twins, with the given weights, randomly relabelled."""
+    blocks = len(sizes)
+    base = [[rng.choice((0, 1, 2, -1)) for _ in range(blocks)] for _ in range(blocks)]
+    for a in range(blocks):
+        for b in range(a):
+            base[a][b] = base[b][a]
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    q = len(block_of)
+    rows = [[base[block_of[x]][block_of[y]] for y in range(q)] for x in range(q)]
+    fset = CFSet((binary_from_rows(rows),), tuple(weights))
+    return _relabel(fset, tuple(rng.sample(range(q), q)))
+
+
+def test_automorphisms_agree_with_the_search_on_large_groups():
+    """automorphisms builds the group from one coset representative per
+    stabilizer-chain level; it must equal the full search, on sets whose
+    groups are too large for the S_q oracle to be quick."""
+    rng = random.Random(38)
+    petersen = _cycle(5) + [(i, i + 5) for i in range(5)] + [
+        (5 + i, 5 + (i + 2) % 5) for i in range(5)
+    ]
+    while True:
+        rigid = random_cfset(rng, 8, 1, entry_pool=(0, 1))
+        if rigid.functions[0].arity == 2 and len(tuple(isomorphisms(rigid, rigid))) == 1:
+            break
+    directed = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        directed[a][a] = gaussian(1, 1)
+        directed[a][(a + 1) % 6] = gaussian(0, 1)
+        directed[a][(a + 3) % 6] = gaussian(2, -1)
+    cases = (
+        (CFSet((constant_function(6, 2, 1),)), 720),
+        (_relabel(_graph(10, petersen), tuple(rng.sample(range(10), 10))), 120),
+        (rigid, 1),
+        (_twin_blowup(rng, (3, 2, 2), (1, 1, 2, 3, 3, 1, 1)), 2 * 2 * 2),
+        (_twin_blowup(rng, (2, 2, 2), (1, 1, 1, 1, 1, 1)), None),
+        (CFSet((binary_from_rows(directed),), (gaussian(0, 1),) * 6), 6),
+    )
+    for fset, order in cases:
+        group = automorphisms(fset)
+        assert group == tuple(isomorphisms(fset, fset))
+        assert order is None or len(group) == order
+        assert list(group) == sorted(set(group))
+        members = set(group)
+        assert tuple(range(fset.q)) in members
+        for a in group:
+            assert all(_compose(a, b) in members for b in group)
