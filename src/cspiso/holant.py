@@ -30,13 +30,18 @@ Evaluation
 ----------
 ``signature_matrix`` unites the edge slots of every equality vertex into
 classes and sums over the values of the free classes with
-``partition._sum_product``, the depth-first kernel behind
-``pinned_partition``, which skips every subtree below a zero partial
-product; by the #CSP-Holant bridge (``csp_to_grid``) the two compute one
-sum.  Like ``pinned_partition`` it passes the integer form of every function
-vertex's table and divides each entry once by the product of their
-denominators.  Its term cap counts every assignment and follows the one
-policy of ``partition._check_terms``.
+``partition._sum_product``, the kernel behind ``pinned_partition``: it walks
+the free classes depth first, reads a function vertex's q entries for a
+class as one strided row of its table, sums the last class in one pass and
+skips every subtree below a zero partial product.  By the #CSP-Holant bridge
+(``csp_to_grid``) the two compute one sum.  Like ``pinned_partition`` it
+passes the tables through ``partition._integer_factors``: every function
+vertex's table in integer form, Gaussian integers packed as ints ``a + b*M``
+with one ``M`` per matrix, sized from the terms of one pinning, the scalar
+of the degree-0 equality vertices and the tables' largest entries; each
+entry is decoded and divided once by the product of the denominators.  Its
+term cap counts every assignment and follows the one policy of
+``partition._check_terms``.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .algebra import (
     Scalar,
     all_tuples,
     conjugate_function,
-    exact_quotient,
     union_find,
 )
 from .instances import CFSet, LabeledInstance
@@ -206,11 +210,12 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
 
     _check_terms(q ** (k + l) * q ** (len(number) - n_fixed), cap)
 
-    factors, den = _integer_factors(
-        [(fn, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices]
+    scalar = q ** n_free_eq
+    factors, finish = _integer_factors(
+        [(fn, tuple(number[root[s]] for s in slots)) for fn, slots in fn_vertices],
+        q ** (len(number) - n_fixed), scalar,
     )
     port_class = [number[root[n_edges + i]] for i in range(k + l)]
-    scalar = q ** n_free_eq
     values = [0] * len(number)
     flat: List[Scalar] = []
     for xy in all_tuples(q, k + l):  # outputs then inputs: row-major order
@@ -220,7 +225,7 @@ def signature_matrix(g: Gadget, cap: Optional[int] = None) -> Matrix:
             continue
         for c, x in pins.items():
             values[c] = x
-        flat.append(exact_quotient(_sum_product(q, factors, values, n_fixed, scalar), den))
+        flat.append(finish(_sum_product(q, factors, values, n_fixed, scalar)))
     cols = q ** l
     return Matrix(tuple(tuple(flat[i:i + cols]) for i in range(0, len(flat), cols)))
 

@@ -40,7 +40,7 @@ from cspiso.holant import (
     tensor,
 )
 from cspiso.instances import CFSet, LabeledInstance
-from cspiso.partition import TermCapExceeded, partition_function, pinned_partition
+from cspiso.partition import TermCapExceeded, _integer_factors, partition_function, pinned_partition
 
 
 def test_holant_of_equality_self_loop():
@@ -312,6 +312,51 @@ def test_grid_signature_matrices_on_integer_tables():
         for x, y in zip(got.flat(), naive.flat()):  # a whole number is an int
             whole = not isinstance(y, GaussianRational) and Fraction(y).denominator == 1
             assert type(x) is (int if whole else type(y))
+
+
+def _assert_same_value_and_type(got, want):
+    """``got == want``, as an ``int`` when whole and real, a ``Fraction``
+    when real and a ``GaussianRational`` otherwise."""
+    assert got == want
+    whole = not isinstance(want, GaussianRational) and Fraction(want).denominator == 1
+    assert type(got) is (int if whole else type(want))
+
+
+def test_gaussian_sums_at_the_packing_edge():
+    """Gaussian tables enter the kernel packed as the ints ``a + b*M``, with
+    ``M`` the least power of two above twice the bound ``B`` on both parts
+    of the sum.  In every case below each term has one value and the sum
+    reaches ``B = 9 * 7 = 63`` (9 terms, or 3 terms times the scalar 3 of an
+    isolated variable's equality vertex; 7 for F or H, 1 for G and the
+    weights), so ``M = 128`` and the sum's real or imaginary part is
+    ``M/2 - 1``, with either sign, through Gaussian weights and pins."""
+    i = gaussian(0, 1)
+    f = binary_from_rows([[c] * 3 for c in (7 * i, -7, -7 * i)])  # F(a, x) depends on a only
+    g = constant_function(3, 2, i)
+    h = unary_function((7 * i,) * 3)
+    factors, _ = _integer_factors([(f, (0, 1))], 9)
+    assert factors[0][0][0] == 7 * 128  # 7i packed with M = 128
+    plain = CFSet((f, g, h))
+    weighted = CFSet((f, g, h), weights=(gaussian(0, Fraction(-1, 2)),) * 3)  # int form -i, den 2
+    names = ("a", "x", "y")
+    path = LabeledInstance(names, ((0, ("a", "x")), (1, ("x", "y"))), ("a",))
+    isolated = LabeledInstance(names, ((0, ("a", "x")),), ("a",))
+    for fset, inst, values in (  # Z^psi at a = 0, 1, 2
+        (plain, path, (-63, -63 * i, 63)),
+        (plain, isolated, (63 * i, -63, -63 * i)),
+        (weighted, path, (Fraction(63, 4), 63 * i / 4, Fraction(-63, 4))),
+    ):
+        grid = csp_to_grid(inst, fset)
+        naive, got = _naive_signature_matrix(grid), signature_matrix(grid)
+        for a, value in enumerate(values):
+            assert naive[a, 0] == value
+            _assert_same_value_and_type(got[a, 0], naive[a, 0])
+            _assert_same_value_and_type(pinned_partition(fset, inst, (a,)), naive[a, 0])
+    closed = LabeledInstance(("x", "y"), ((2, ("x",)), (1, ("x", "y"))))
+    for fset, value in ((plain, -63), (weighted, Fraction(63, 4))):
+        want = _naive_signature_matrix(csp_to_grid(closed, fset))[0, 0]
+        assert want == value
+        _assert_same_value_and_type(partition_function(fset, closed), want)
 
 
 def test_signature_matrix_cap():

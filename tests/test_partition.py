@@ -169,6 +169,52 @@ def test_sum_product_matches_the_naive_oracle():
         assert got == _naive_sum_product(q, factors, list(values), n_fixed, scalar)
 
 
+def _zero_rows(rng, q, positions, entries, last):
+    """Zero every entry where one slot other than ``last`` takes one value,
+    so the rows read there are all zero."""
+    slots = [j for j, p in enumerate(positions) if p != last]
+    if not slots:
+        return entries
+    place = q ** (len(positions) - 1 - rng.choice(slots))
+    v = rng.randrange(q)
+    return [0 if i // place % q == v else x for i, x in enumerate(entries)]
+
+
+def test_sum_product_rows_match_the_naive_oracle():
+    """The row-at-a-time walk at n = 6-7: the last variable of a factor in
+    two or three of its slots, factors on that variable alone (several at
+    one depth, and next to pins only), a free depth where no factor ends,
+    zero rows, q = 1, and int, Fraction and Gaussian entries."""
+    rng = random.Random(28)
+    for trial in range(200):
+        q = 1 if trial % 10 == 0 else 2 + trial % 2
+        n = rng.randint(6, 7)
+        n_fixed = rng.randint(0, 2)
+        kind = ("int", "fraction", "gaussian")[trial % 3]
+        bare = rng.randrange(n_fixed, n)
+        factors = []
+        for last in range(n):
+            if last == bare:
+                continue
+            for _ in range(rng.randint(0, 2)):  # only slots of ``last``
+                arity = rng.randint(1, 3)
+                factors.append(([_random_entry(rng, kind) for _ in range(q ** arity)], (last,) * arity))
+            for _ in range(rng.randint(1, 2) if last else 0):
+                repeats = rng.randint(1, 3)
+                positions = [last] * repeats + [rng.randrange(last) for _ in range(rng.randint(1, 4 - repeats))]
+                rng.shuffle(positions)
+                entries = [_random_entry(rng, kind) for _ in range(q ** len(positions))]
+                if rng.random() < 0.3:
+                    entries = _zero_rows(rng, q, positions, entries, last)
+                factors.append((entries, tuple(positions)))
+        scalar = _random_entry(rng, kind) or 1
+        pins = [rng.randrange(q) for _ in range(n_fixed)]
+        values = pins + [0] * (n - n_fixed)
+        got = _sum_product(q, factors, values, n_fixed, scalar)
+        assert values == pins + [0] * (n - n_fixed)
+        assert got == _naive_sum_product(q, factors, list(values), n_fixed, scalar)
+
+
 class _CountingEntries:
     def __init__(self, entries):
         self.entries = entries
@@ -178,8 +224,9 @@ class _CountingEntries:
         return len(self.entries)
 
     def __getitem__(self, idx):
-        self.reads += 1
-        return self.entries[idx]
+        got = self.entries[idx]
+        self.reads += len(got) if isinstance(idx, slice) else 1  # a row counts its entries
+        return got
 
 
 def test_sum_product_skips_subtrees_below_a_zero():
