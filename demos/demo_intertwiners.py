@@ -45,8 +45,9 @@ for (k, l) in ((1, 0), (1, 1), (2, 0)):
     print(f"span at ({k},{l}): dims by size {result.dimension_by_size} "
           f"(orbit dimension {result.orbit_dimension}, {result.saturated_by})")
 
-# The witness lemma: either an automorphism aligns two pin maps, or some
-# instance separates their pinned values.
+# The witness lemma: either an automorphism aligns two pin maps (decided by
+# the orbit basis, or up to twins), or some instance separates their pinned
+# values; the instance is the first one distinguish's probe search finds.
 diag = CFSet((binary_from_rows([[1, 0], [0, 2]]),))
 aligned = witness_sigma(swap_symmetric, (0,), (1,))
 print("swap-symmetric pins align via:", aligned.sigma)

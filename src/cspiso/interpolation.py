@@ -7,10 +7,11 @@ The distinguisher follows the constructive route: contract twins, search the
 contracted sets for isomorphisms (``structure.isomorphisms``) and lift one
 to the original domain, and otherwise search size-ordered candidate
 instances for one whose pinned partition values differ (verified exactly
-before returning).  Each set keeps its probe values per pin map on itself;
-the probes come from one stream per (arities, k, q), kept for the life of
-the process as far as any call has read it and shared by every thread under
-one lock.
+before returning).  ``intertwiners.witness_sigma`` takes its witness from
+the same probe search, on one set with two pin maps.  Each set keeps its
+probe values per pin map on itself; the probes come from one stream per
+(arities, k, q), kept for the life of the process as far as any call has
+read it and shared by every thread under one lock.
 """
 
 from __future__ import annotations
@@ -489,6 +490,8 @@ def distinguish(
         raise InterpolationError("pin maps must have equal length")
     if max_probes < 0:
         raise InterpolationError(f"max_probes must be at least 0, got {max_probes}")
+    if any(not 0 <= x < fset.q for x in phi) or any(not 0 <= y < gset.q for y in psi):
+        raise InterpolationError("pin value out of range")
 
     k = len(phi)
     if fset.q == gset.q:
@@ -516,7 +519,15 @@ def distinguish(
             if adjusted_candidate is not None:
                 return DistinguishResult(sigma=adjusted_candidate, twins_adjusted=True)
 
-    probe_key = (fset.arities(), k, max(fset.q, gset.q))
+    return _probe_witness(fset, gset, phi, psi, max_probes)
+
+
+def _probe_witness(
+    fset: CFSet, gset: CFSet, phi: PinMap, psi: PinMap, max_probes: int
+) -> DistinguishResult:
+    """The first of ``max_probes`` probes, from the larger domain's stream,
+    whose pinned values differ; :class:`DistinguishInconclusive` if none."""
+    probe_key = (fset.arities(), len(phi), max(fset.q, gset.q))
     profile_f = fset._memo.setdefault((phi, probe_key), [])
     profile_g = gset._memo.setdefault((psi, probe_key), [])
     index = 0

@@ -1,11 +1,12 @@
 """Intertwiner spaces of permutation groups via orbit bases, the gadget-span
-comparison, orbit queries, and the witness-permutation search.
+comparison, orbit queries, and the witness permutation of two pin maps.
 
 The ``(k, l)`` intertwiner space of a group G acting on ``[q]`` is spanned by
 the indicator matrices of the orbits of the diagonal action on
 ``[q]^k x [q]^l``; the dimension is the number of orbits.  ``gadget_span``
 builds signature matrices from the fundamental generators instead and
-reports how its span sits inside the orbit space.
+reports how its span sits inside the orbit space.  ``witness_sigma`` runs
+the (k, 0) orbit test, then the probe search of ``distinguish``.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .algebra import Matrix, all_tuples, conjugate_function, tuple_to_index
 from .instances import CFSet, LabeledInstance
+from .interpolation import DEFAULT_MAX_PROBES, _probe_witness
 from .linalg import EchelonBasis
-from .partition import pinned_partition
-from .structure import Permutation, automorphisms
-from .witnesses import pli_candidates
+from .structure import Permutation, automorphisms, twin_classes
 from . import expressions as ex
 
 
 class IntertwinerError(ValueError):
     pass
-
-
-def _compose_perm(a: Permutation, b: Permutation) -> Permutation:
-    return tuple(a[b[i]] for i in range(len(a)))
 
 
 @dataclass(frozen=True)
@@ -50,16 +46,14 @@ class PermutationGroup:
     def elements(self) -> Tuple[Permutation, ...]:
         identity = tuple(range(self.q))
         seen: Set[Permutation] = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for gen in self.generators:
-                    for h in (_compose_perm(gen, g), _compose_perm(g, gen)):
-                        if h not in seen:
-                            seen.add(h)
-                            nxt.append(h)
-            frontier = nxt
+        stack = [identity]
+        while stack:
+            g = stack.pop()
+            for gen in self.generators:
+                h = tuple(map(g.__getitem__, gen))
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
         return tuple(sorted(seen))
 
     @staticmethod
@@ -76,7 +70,15 @@ class PermutationGroup:
 
     @staticmethod
     def from_elements(q: int, elements: Sequence[Permutation]) -> "PermutationGroup":
-        return PermutationGroup(q, tuple(sorted(set(map(tuple, elements)))))
+        """Generated by each element, in sorted order, that the earlier ones
+        do not generate: each doubles the closure, so at most log2 |G|."""
+        generators: List[Permutation] = []
+        closure = {tuple(range(q))}
+        for element in sorted(map(tuple, elements)):
+            if element not in closure:
+                generators.append(element)
+                closure = set(PermutationGroup(q, tuple(generators)).elements())
+        return PermutationGroup(q, tuple(generators))
 
 
 def all_subgroups(q: int) -> Tuple[PermutationGroup, ...]:
@@ -95,9 +97,7 @@ def all_subgroups(q: int) -> Tuple[PermutationGroup, ...]:
         itertools.combinations(elements, 2),
     ):
         group = PermutationGroup(q, tuple(gens))
-        key = frozenset(group.elements())
-        if key not in found:
-            found[key] = PermutationGroup.from_elements(q, tuple(key))
+        found.setdefault(frozenset(group.elements()), group)
     return tuple(sorted(found.values(), key=lambda g: (len(g.elements()), g.elements())))
 
 
@@ -320,7 +320,7 @@ def gadget_span(
 
 
 # ---------------------------------------------------------------------------
-# Witness permutations (orbit route with instance fallback)
+# Witness permutations (orbit route, then the probe search)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -329,42 +329,33 @@ class WitnessSigmaResult:
     witness: Optional[LabeledInstance] = None
     z_phi: Optional[object] = None
     z_psi: Optional[object] = None
+    twins_adjusted: bool = False
 
 
-class WitnessSearchExhausted(RuntimeError):
-    """The orbit test failed but no distinguishing instance was found within
-    the bound.  For twin-free sets this cannot happen; with twins the pin
-    maps may be genuinely indistinguishable by single-labeled instances."""
-
-
-def witness_sigma(
-    fset: CFSet,
-    phi: Sequence[int],
-    psi: Sequence[int],
-    instance_bound: int = 2000,
-) -> WitnessSigmaResult:
-    """Either an automorphism carrying one pin map to the other, decided via
-    the (k, 0) orbit basis of the automorphism group, or a distinguishing
-    k-labeled instance with differing pinned values."""
+def witness_sigma(fset: CFSet, phi: Sequence[int], psi: Sequence[int]) -> WitnessSigmaResult:
+    """The first automorphism ``sigma`` with ``sigma(phi) == psi`` if the
+    (k, 0) orbit basis puts the pin maps in one orbit; else the first one
+    carrying each ``phi_i`` to a twin of ``psi_i``, with ``twins_adjusted``
+    (twins are interchangeable in every pinned value); else the first of
+    ``distinguish``'s ``DEFAULT_MAX_PROBES`` probes whose pinned values
+    ``z_phi`` and ``z_psi`` differ.  Raises ``DistinguishInconclusive`` when
+    none does, as where the twin classes differ in size."""
     phi, psi = tuple(phi), tuple(psi)
     k = len(phi)
     if k == 0 or len(psi) != k:
         raise IntertwinerError("pin maps must be nonempty and equally long")
+    if any(not 0 <= x < fset.q for x in phi + psi):
+        raise IntertwinerError(f"pin values must lie in range({fset.q})")
     auts = automorphisms(fset)
     group = PermutationGroup.from_elements(fset.q, auts)
     space = intertwiner_basis(group, k, 0)
     if same_orbit_via_intertwiners(phi, psi, space):
         sigma = next(s for s in auts if _apply(s, phi) == psi)
         return WitnessSigmaResult(sigma=sigma)
-    count = 0
-    for inst in pli_candidates(fset.arities(), k):
-        count += 1
-        if count > instance_bound:
-            break
-        z_phi = pinned_partition(fset, inst, phi)
-        z_psi = pinned_partition(fset, inst, psi)
-        if z_phi != z_psi:
-            return WitnessSigmaResult(sigma=None, witness=inst, z_phi=z_phi, z_psi=z_psi)
-    raise WitnessSearchExhausted(
-        f"no distinguishing instance within {instance_bound} candidates"
-    )
+    class_of = {i: cls for cls in twin_classes(fset) for i in cls}
+    wanted = [class_of[y] for y in psi]
+    for sigma in auts:
+        if [class_of[sigma[x]] for x in phi] == wanted:
+            return WitnessSigmaResult(sigma=sigma, twins_adjusted=True)
+    found = _probe_witness(fset, fset, phi, psi, DEFAULT_MAX_PROBES)
+    return WitnessSigmaResult(sigma=None, witness=found.witness, z_phi=found.z_f, z_psi=found.z_g)

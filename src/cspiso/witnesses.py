@@ -119,9 +119,7 @@ def simple_candidates(arities: Sequence[int], k: int) -> Iterator[LabeledInstanc
 
 
 def pli_candidates(
-    arities: Sequence[int],
-    k: int,
-    max_constraints: int = 6,
+    arities: Sequence[int], k: int, max_constraints: int
 ) -> Iterator[LabeledInstance]:
     """General instances: repeats and duplicate constraints allowed; for
     k > 0 label-only constraints are included (that is where pins show)."""

@@ -170,7 +170,7 @@ def test_probe_order_is_pinned():
     prefixes = [
         (probe_stream((1, 2), 1), 120,
          "94698cebabdf7108561e0d00f05a841ecc8310bd7f921449750b8ab6e2e12482"),
-        (pli_candidates((2,), 1), 300,
+        (pli_candidates((2,), 1, 6), 300,
          "e5c7c881f96c6c66e5f4c228e0b5b4d950e86748f5150ee8da2579117f72fb75"),
         (probe_stream((1, 1), 1), None,
          "7958e80a94c92d1b05dccc52257701b2a4507df4fb472ab9a527709b4238f0ee"),

@@ -353,6 +353,12 @@ def test_distinguish_rejects_negative_max_probes():
     assert distinguish(EQ2, DIAG12, max_probes=2).witness is not None
 
 
+@pytest.mark.parametrize("phi, psi", [((2,), (0,)), ((0,), (-1,))])
+def test_distinguish_rejects_out_of_range_pins(phi, psi):
+    with pytest.raises(InterpolationError, match="out of range"):
+        distinguish(DIAG12, DIAG12, phi, psi)
+
+
 def test_distinguish_pins():
     result = distinguish(DIAG12, DIAG12, (0,), (0,))
     assert result.sigma == (0, 1)

@@ -13,13 +13,14 @@ from cspiso.algebra import (
     unary_function,
 )
 from cspiso.holant import crossing_gadget, signature_matrix
+from cspiso.corpus import random_cfset
 from cspiso.instances import CFSet
+from cspiso.interpolation import distinguish
 from cspiso.partition import pinned_partition
-from cspiso.structure import automorphisms
+from cspiso.structure import automorphisms, is_isomorphism, twin_classes
 from cspiso.intertwiners import (
     IntertwinerError,
     PermutationGroup,
-    WitnessSearchExhausted,
     all_subgroups,
     gadget_span,
     intertwiner_basis,
@@ -220,7 +221,6 @@ def test_witness_sigma_produces_distinguishing_instance():
 
 def test_witness_sigma_agrees_with_group_search():
     rng = random.Random(73)
-    from cspiso.corpus import random_cfset
 
     for _ in range(10):
         fset = random_cfset(rng, 2, rng.randint(1, 2))
@@ -231,19 +231,104 @@ def test_witness_sigma_agrees_with_group_search():
                     expected = any(
                         tuple(s[x] for x in phi) == psi for s in auts
                     )
-                    try:
-                        result = witness_sigma(fset, phi, psi)
-                    except WitnessSearchExhausted:
-                        # twins can make pin maps orbit-distinct yet
-                        # indistinguishable by single-labeled instances
-                        assert not expected
-                        continue
-                    assert (result.sigma is not None) == expected
+                    result = witness_sigma(fset, phi, psi)
+                    assert (result.sigma is not None and not result.twins_adjusted) == expected
 
 
-def test_witness_sigma_exhaustion_on_all_twins():
-    # every element is a twin: the orbit test fails but no single-labeling
-    # witness can exist, and the bounded search reports that honestly
+def _assert_verified(fset, phi, psi, result):
+    """The answer holds on its own: an automorphism carrying ``phi`` to
+    ``psi`` (up to twins when so flagged), or a witness whose pinned values
+    are recomputed and differ."""
+    if result.sigma is None:
+        assert result.z_phi == pinned_partition(fset, result.witness, phi)
+        assert result.z_psi == pinned_partition(fset, result.witness, psi)
+        assert result.z_phi != result.z_psi
+        return
+    assert is_isomorphism(result.sigma, fset, fset)
+    image = tuple(result.sigma[x] for x in phi)
+    if result.twins_adjusted:
+        class_of = {i: cls for cls in twin_classes(fset) for i in cls}
+        assert [class_of[x] for x in image] == [class_of[y] for y in psi]
+    else:
+        assert image == tuple(psi)
+
+
+def test_witness_sigma_aligns_all_twins_up_to_twins():
+    # every element is a twin: the orbit test fails, no instance separates
+    # the pins, and an automorphism aligns them class by class
     allones = CFSet((constant_function(2, 2),))
-    with pytest.raises(WitnessSearchExhausted):
-        witness_sigma(allones, (0, 0), (0, 1), instance_bound=120)
+    result = witness_sigma(allones, (0, 0), (0, 1))
+    assert result.sigma is not None and result.twins_adjusted
+    _assert_verified(allones, (0, 0), (0, 1), result)
+
+
+def test_witness_sigma_on_cancelling_twin_weights():
+    # 0 and 1 are twins whose weights sum to 0, so the set has no twin
+    # contraction; witness_sigma never contracts
+    fset = CFSet((unary_function((1, 1, 3)),), weights=(1, -1, 1))
+    outcomes = {}
+    for psi in ((2,), (0,), (1,)):
+        result = witness_sigma(fset, (0,), psi)
+        _assert_verified(fset, (0,), psi, result)
+        outcomes[psi] = (result.sigma is not None, result.twins_adjusted)
+    assert outcomes == {(2,): (False, False), (0,): (True, False), (1,): (True, True)}
+
+
+def _rook_rows(n: int):
+    """K_n box K_n: cells of an n x n board, adjacent in a shared row or column."""
+    cells = range(n * n)
+    return [[int(a != b and (a // n == b // n or a % n == b % n)) for b in cells] for a in cells]
+
+
+def _rook_graph(n: int) -> CFSet:
+    return CFSet((binary_from_rows(_rook_rows(n)),))
+
+
+def test_rook_group_keeps_few_generators():
+    auts = automorphisms(_rook_graph(4))
+    group = PermutationGroup.from_elements(16, auts)
+    assert len(auts) == 1152
+    assert group.elements() == auts
+    assert len(group.generators) <= 10
+    adjacency = Matrix(tuple(map(tuple, _rook_rows(4))))
+    corner = Matrix(tuple(tuple(int(x == y == 0) for y in range(16)) for x in range(16)))
+    every_element = PermutationGroup(16, auts)
+    for mat in (adjacency, corner):
+        assert is_intertwiner(mat, group, 1, 1) == is_intertwiner(mat, every_element, 1, 1)
+    assert is_intertwiner(adjacency, group, 1, 1) and not is_intertwiner(corner, group, 1, 1)
+
+
+def test_witness_sigma_on_the_rook_graph():
+    # strongly regular with lambda = mu = 2: no common-neighbour count
+    # separates an edge from a non-edge
+    rook = _rook_graph(4)
+    edge, non_edge, other_edge = (0, 1), (0, 5), (5, 9)
+    result = witness_sigma(rook, edge, non_edge)
+    assert result.sigma is None
+    _assert_verified(rook, edge, non_edge, result)
+    result = witness_sigma(rook, edge, other_edge)
+    assert result.sigma is not None and not result.twins_adjusted
+    _assert_verified(rook, edge, other_edge, result)
+
+
+def test_witness_sigma_takes_the_witness_of_distinguish():
+    rng = random.Random(19)
+    checked = 0
+    while checked < 8:
+        fset = random_cfset(rng, rng.randint(2, 3), rng.randint(1, 2), max_arity=2)
+        if len(twin_classes(fset)) < fset.q:
+            continue
+        checked += 1
+        for k in (1, 2):
+            for phi in all_tuples(fset.q, k):
+                for psi in all_tuples(fset.q, k):
+                    result = witness_sigma(fset, phi, psi)
+                    if result.sigma is None:
+                        assert result.witness == distinguish(fset, fset, phi, psi).witness
+
+
+@pytest.mark.parametrize("phi, psi", [((2,), (0,)), ((0,), (-1,))])
+def test_witness_sigma_rejects_out_of_range_pins(phi, psi):
+    fset = CFSet((binary_from_rows([[1, 0], [0, 2]]),))
+    with pytest.raises(IntertwinerError, match="range"):
+        witness_sigma(fset, phi, psi)
